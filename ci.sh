@@ -21,8 +21,8 @@ cargo run -q --release --offline -p hcf-bench --bin native -- --smoke
 echo "==> tmem hot-path bench (--smoke; see docs/DESIGN.md, TM hot path)"
 cargo run -q --release --offline -p hcf-bench --bin tmem_hot -- --smoke
 
-echo "==> kv service: loopback integration + lincheck tests, bench (--smoke)"
-cargo test -q --offline -p hcf-kv --test loopback --test lincheck_incr
+echo "==> kv service: loopback, admission and lincheck tests, bench (--smoke)"
+cargo test -q --offline -p hcf-kv --test loopback --test admission --test lincheck
 cargo run -q --release --offline -p hcf-bench --bin kvbench -- --smoke
 
 echo "==> bench targets compile (criterion-bench feature)"

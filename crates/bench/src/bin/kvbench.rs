@@ -1,24 +1,27 @@
 //! `kvbench` — wall-clock benchmark of the hcf-kv service over
 //! loopback TCP.
 //!
-//! Each point starts a fresh in-process server (so per-shard batching
-//! counters belong to exactly one configuration), drives it with
-//! concurrent closed-loop clients — plus one open-loop (paced) point
-//! where latency is measured from the *scheduled* send time, so
-//! queueing delay counts — and reports throughput, latency percentiles,
-//! and the service-level combining degree (`avg_batch` = requests per
-//! engine transaction). Results go to stdout and `BENCH_kv.json` at the
-//! repository root.
+//! Each point starts a fresh in-process server (so its engine counters
+//! belong to exactly one configuration), drives it with concurrent
+//! closed-loop clients — plus one open-loop (paced) point where latency
+//! is measured from the *scheduled* send time, so queueing delay counts
+//! — and reports throughput, latency percentiles, and how the shard
+//! engines combined across connections: the average combining degree
+//! (`avg_degree`, requests per combiner session), its histogram, and
+//! the fraction of requests completed in each HCF phase. Results go to
+//! stdout and `BENCH_kv.json` at the repository root (`target/` for
+//! `--smoke`).
 //!
 //! Usage: `kvbench [--smoke]` — `--smoke` runs one small closed-loop
 //! point (the CI configuration). `HCF_SEED` and `HCF_KV_REQS`
 //! (requests per client) override the defaults.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use hcf_bench::seed;
+use hcf_bench::{seed, write_bench_json};
+use hcf_core::stats::ArrayStatsSnapshot;
+use hcf_core::{ExecStatsSnapshot, Phase};
 use hcf_kv::{Command, KvClient, KvConfig, KvServer, Reply};
 use hcf_util::dist::{Uniform, Zipf};
 use hcf_util::rng::{Rng, SplitMix64};
@@ -60,9 +63,26 @@ struct Measured {
     p90_ns: u64,
     p99_ns: u64,
     mean_ns: u64,
-    avg_batch: f64,
-    max_batch: u64,
-    per_shard_avg: Vec<f64>,
+    engine: ArrayStatsSnapshot,
+}
+
+/// How the shard engines' counters moved from `before` to `after`,
+/// summed over every shard's publication arrays.
+fn combining(before: &[ExecStatsSnapshot], after: &[ExecStatsSnapshot]) -> ArrayStatsSnapshot {
+    let before = before.iter().flat_map(|s| &s.arrays);
+    let mut c = ArrayStatsSnapshot::default();
+    for (a, b) in after.iter().flat_map(|s| &s.arrays).zip(before) {
+        for ((t, x), y) in c.completed.iter_mut().zip(a.completed).zip(b.completed) {
+            *t += x - y;
+        }
+        let hist = a.degree_hist.iter().zip(b.degree_hist);
+        for (t, (x, y)) in c.degree_hist.iter_mut().zip(hist) {
+            *t += x - y;
+        }
+        c.sessions += a.sessions - b.sessions;
+        c.helped_ops += a.helped_ops - b.helped_ops;
+    }
+    c
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -149,7 +169,7 @@ fn measure(point: Point, reqs_per_client: u64, server_cfg: &KvConfig) -> Measure
     for i in 0..KEY_SPACE / 2 {
         loader.set(&key_bytes(i), b"0").expect("preload");
     }
-    let preload_stats = server.shard_batch_stats();
+    let preload = server.engine_stats();
 
     let started = Instant::now();
     let mut all_lat: Vec<u64> = Vec::new();
@@ -166,21 +186,9 @@ fn measure(point: Point, reqs_per_client: u64, server_cfg: &KvConfig) -> Measure
     });
     let elapsed_ns = started.elapsed().as_nanos() as u64;
 
-    // Batching counters for the measured phase only (preload was a
-    // single sequential client: batch size 1 by construction).
-    let stats = server.shard_batch_stats();
-    let mut batches = 0u64;
-    let mut reqs = 0u64;
-    let mut max_batch = 0u64;
-    let mut per_shard_avg = Vec::with_capacity(stats.len());
-    for (after, before) in stats.iter().zip(&preload_stats) {
-        let b = after.batches - before.batches;
-        let r = after.reqs - before.reqs;
-        batches += b;
-        reqs += r;
-        max_batch = max_batch.max(after.max_batch);
-        per_shard_avg.push(if b == 0 { 0.0 } else { r as f64 / b as f64 });
-    }
+    // Engine counters for the measured phase only: the preload's
+    // TryPrivate completions would dilute the phase shares.
+    let engine = combining(&preload, &server.engine_stats());
 
     loader.shutdown().expect("SHUTDOWN");
     server.join().expect("join");
@@ -200,31 +208,20 @@ fn measure(point: Point, reqs_per_client: u64, server_cfg: &KvConfig) -> Measure
         p90_ns: percentile(&all_lat, 0.90),
         p99_ns: percentile(&all_lat, 0.99),
         mean_ns: mean,
-        avg_batch: if batches == 0 {
-            0.0
-        } else {
-            reqs as f64 / batches as f64
-        },
-        max_batch,
-        per_shard_avg,
+        engine,
     }
 }
 
 fn json_row(m: &Measured) -> String {
-    let mut shards = String::new();
-    for (i, a) in m.per_shard_avg.iter().enumerate() {
-        if i > 0 {
-            shards.push(',');
-        }
-        let _ = write!(shards, "{a:.3}");
-    }
+    let e = &m.engine;
     format!(
         concat!(
             "{{\"mode\":\"{}\",\"dist\":\"{}\",\"read_pct\":{},\"clients\":{},",
             "\"rate_per_client\":{},\"total_reqs\":{},\"busy\":{},",
             "\"elapsed_ns\":{},\"reqs_per_sec\":{:.2},",
             "\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},",
-            "\"avg_batch\":{:.3},\"max_batch\":{},\"per_shard_avg_batch\":[{}]}}"
+            "\"avg_degree\":{:.3},\"degree_hist\":{:?},\"phase_frac\":{{\"private\":{:.4},",
+            "\"visible\":{:.4},\"combining\":{:.4},\"under_lock\":{:.4}}}}}"
         ),
         m.point.mode,
         m.point.dist.name(),
@@ -239,9 +236,12 @@ fn json_row(m: &Measured) -> String {
         m.p50_ns,
         m.p90_ns,
         m.p99_ns,
-        m.avg_batch,
-        m.max_batch,
-        shards,
+        e.avg_degree(),
+        e.degree_hist,
+        e.phase_fraction(Phase::Private),
+        e.phase_fraction(Phase::Visible),
+        e.phase_fraction(Phase::Combining),
+        e.phase_fraction(Phase::Lock),
     )
 }
 
@@ -254,13 +254,7 @@ fn reqs_per_client(default: u64) -> u64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // workers < shards on purpose: a worker busy combining one shard's
-    // backlog lets its other shards queue up — that queueing is what
-    // makes avg_batch exceed 1.
-    let server_cfg = KvConfig::default()
-        .with_shards(8)
-        .with_workers(2)
-        .with_watchdog_ms(30_000);
+    let server_cfg = KvConfig::default().with_shards(8).with_watchdog_ms(30_000);
 
     let (points, reqs): (Vec<Point>, u64) = if smoke {
         (
@@ -297,15 +291,15 @@ fn main() {
     };
 
     println!(
-        "{:<7} {:<8} {:>5} {:>8} {:>9} {:>12} {:>9} {:>9} {:>9} {:>10} {:>9}",
+        "{:<7} {:<8} {:>5} {:>8} {:>9} {:>12} {:>9} {:>9} {:>9} {:>10} {:>6} {:>6} {:>6} {:>6}",
         "mode", "dist", "read%", "clients", "reqs", "reqs/sec", "p50_us", "p90_us", "p99_us",
-        "avg_batch", "max_batch"
+        "avg_degree", "priv%", "vis%", "comb%", "lock%"
     );
     let mut rows = Vec::new();
     for point in points {
         let m = measure(point, reqs, &server_cfg);
         println!(
-            "{:<7} {:<8} {:>5} {:>8} {:>9} {:>12.0} {:>9.1} {:>9.1} {:>9.1} {:>10.3} {:>9}",
+            "{:<7} {:<8} {:>5} {:>8} {:>9} {:>12.0} {:>9.1} {:>9.1} {:>9.1} {:>10.3} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
             m.point.mode,
             m.point.dist.name(),
             m.point.read_pct,
@@ -315,22 +309,25 @@ fn main() {
             m.p50_ns as f64 / 1000.0,
             m.p90_ns as f64 / 1000.0,
             m.p99_ns as f64 / 1000.0,
-            m.avg_batch,
-            m.max_batch,
+            m.engine.avg_degree(),
+            100.0 * m.engine.phase_fraction(Phase::Private),
+            100.0 * m.engine.phase_fraction(Phase::Visible),
+            100.0 * m.engine.phase_fraction(Phase::Combining),
+            100.0 * m.engine.phase_fraction(Phase::Lock),
         );
         rows.push(m);
     }
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hcf-bench-kv/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"hcf-bench-kv/v2\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"seed\": {},", seed());
     let _ = writeln!(json, "  \"reqs_per_client\": {reqs},");
     let _ = writeln!(
         json,
-        "  \"server\": {{\"shards\":{},\"workers\":{},\"queue_cap\":{},\"batch_max\":{}}},",
-        server_cfg.shards, server_cfg.workers, server_cfg.queue_cap, server_cfg.batch_max
+        "  \"server\": {{\"shards\":{},\"queue_cap\":{}}},",
+        server_cfg.shards, server_cfg.queue_cap
     );
     let _ = writeln!(json, "  \"results\": [");
     for (i, m) in rows.iter().enumerate() {
@@ -339,10 +336,5 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kv.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
-    }
+    write_bench_json("BENCH_kv.json", smoke, &json);
 }

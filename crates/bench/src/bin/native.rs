@@ -5,7 +5,8 @@
 //! the software-HTM substrate on the host machine — numbers depend on
 //! core count and scheduler and are **not** comparable to the lockstep
 //! figures (see `DESIGN.md`, "Native execution mode"). Results go to
-//! stdout as a table and to `BENCH_native.json` at the repository root.
+//! stdout as a table and to `BENCH_native.json` at the repository root
+//! (`target/` for `--smoke`).
 //!
 //! Usage: `native [--smoke]` — `--smoke` runs a single 4-thread point
 //! per data structure (the CI configuration); the default sweep covers
@@ -13,7 +14,6 @@
 //! `HCF_NATIVE_OPS` (ops per thread) override the defaults.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use hcf_core::{HcfConfig, Variant};
@@ -23,7 +23,8 @@ use hcf_sim::workload::{MapWorkload, SetWorkload};
 use hcf_tmem::{MemCtx, TxResult};
 
 use hcf_bench::{
-    build_avl, build_hash, hash_tmem, seed, AVL_KEY_RANGE, AVL_THETA, HASH_KEY_RANGE,
+    build_avl, build_hash, hash_tmem, seed, write_bench_json, AVL_KEY_RANGE, AVL_THETA,
+    HASH_KEY_RANGE,
 };
 
 /// One measured point, ready for serialization.
@@ -160,10 +161,5 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_native.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
-    }
+    write_bench_json("BENCH_native.json", smoke, &json);
 }

@@ -15,19 +15,19 @@
 //!
 //! Numbers are wall-clock and host-dependent — like `BENCH_native.json`
 //! they are **not** comparable to the lockstep figures. Results go to
-//! stdout as a table and to `BENCH_tmem.json` at the repository root.
+//! stdout as a table and to `BENCH_tmem.json` at the repository root
+//! (`target/` for `--smoke`).
 //!
 //! Usage: `tmem_hot [--smoke]` — `--smoke` runs a single small point per
 //! scenario (the CI configuration). `HCF_TMEM_TX` overrides the number
 //! of transactions per thread; `HCF_THREADS` overrides the sweep.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hcf_bench::thread_sweep;
+use hcf_bench::{thread_sweep, write_bench_json};
 use hcf_tmem::{AbortCause, Addr, RealRuntime, TMem, TMemConfig};
 
 /// Reads per read-only transaction.
@@ -271,10 +271,5 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tmem.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
-    }
+    write_bench_json("BENCH_tmem.json", smoke, &json);
 }

@@ -89,6 +89,27 @@ impl Csv {
     }
 }
 
+/// Writes a wall-clock bench's JSON result: over the committed
+/// `<file>` at the repository root for full runs, under `target/` for
+/// `--smoke` runs, so CI smoke runs never overwrite the committed
+/// full-run record.
+pub fn write_bench_json(file: &str, smoke: bool, json: &str) {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = if smoke {
+        root.join("target").join(file)
+    } else {
+        root.join(file)
+    };
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&path, json));
+    match written {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
+    }
+}
+
 /// Simulation config for a single-socket run (most figures).
 pub fn sim_config(threads: usize) -> SimConfig {
     SimConfig::new(threads)

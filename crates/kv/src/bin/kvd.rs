@@ -1,9 +1,11 @@
 //! `kvd` — the hcf-kv server daemon.
 //!
 //! ```text
-//! kvd [--addr HOST:PORT] [--shards N] [--workers N]
-//!     [--queue-cap N] [--batch-max N] [--watchdog-ms N]
+//! kvd [--addr HOST:PORT] [--shards N] [--queue-cap N] [--watchdog-ms N]
 //! ```
+//!
+//! `--queue-cap` is the connection cap (each connection has at most one
+//! request in flight); connections beyond it get `BUSY`.
 //!
 //! Prints the bound address (useful with `--addr 127.0.0.1:0`), then
 //! serves until a client sends `SHUTDOWN`.
@@ -13,10 +15,7 @@ use std::process::ExitCode;
 use hcf_kv::{KvConfig, KvServer};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: kvd [--addr HOST:PORT] [--shards N] [--workers N] \
-         [--queue-cap N] [--batch-max N] [--watchdog-ms N]"
-    );
+    eprintln!("usage: kvd [--addr HOST:PORT] [--shards N] [--queue-cap N] [--watchdog-ms N]");
     std::process::exit(2);
 }
 
@@ -34,9 +33,7 @@ fn parse_args() -> KvConfig {
         match flag.as_str() {
             "--addr" => cfg.addr = value.clone(),
             "--shards" => cfg.shards = num(),
-            "--workers" => cfg.workers = num(),
             "--queue-cap" => cfg.queue_cap = num(),
-            "--batch-max" => cfg.batch_max = num(),
             "--watchdog-ms" => cfg.watchdog_ms = num() as u64,
             _ => usage(),
         }

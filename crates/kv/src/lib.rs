@@ -1,4 +1,4 @@
-//! # hcf-kv — a sharded KV service where batching *is* combining
+//! # hcf-kv — a sharded KV service where the engine combines across connections
 //!
 //! An in-memory key-value service layered on the HCF engine. Storage is
 //! `N` independent shards, each a transactional hash table driven by
@@ -8,17 +8,19 @@
 //! ([`hcf_util::shard`]).
 //!
 //! The front end is a dependency-free length-prefixed text protocol
-//! ([`proto`]) over plain TCP. Requests land in bounded per-shard
-//! queues ([`queue`]); a fixed worker pool drains them, and **a drained
-//! backlog becomes one combined engine operation** ([`store::KvShardDs`]
-//! runs the whole batch in a single transaction). Queue depth under
-//! load is therefore the service's combining degree, reported per shard
-//! by the `STATS` command.
+//! ([`proto`]) over plain TCP, one thread per connection. That thread
+//! executes its own requests on the target shard's engine
+//! ([`store::KvShardDs`]), so the engine is the service's only
+//! combining layer: connections that contend on a shard are announced
+//! and combined into shared transactions by HCF itself (§2.2). The
+//! resulting combining degree and per-phase completions are reported
+//! per shard by the `STATS` command.
 //!
-//! Overload is handled by shedding (`BUSY` replies when a shard queue
-//! is full), shutdown by drain (queued requests complete before workers
-//! exit), and liveness by a watchdog reusing the native driver's
-//! progress meter ([`hcf_sim::progress`]).
+//! Overload is handled by admission (a connection beyond
+//! [`KvConfig::queue_cap`] gets `BUSY` and is closed), shutdown by
+//! answering every request already sent, and liveness by a watchdog
+//! built on [`hcf_util::progress`]. The server uses no queue: [`queue`]
+//! stays only as perfbench's model of the removed hand-off.
 //!
 //! ```no_run
 //! use hcf_kv::{KvClient, KvConfig, KvServer};

@@ -14,7 +14,7 @@
 //! | `INT`  | decimal integer                           | INCR result, DEL count |
 //! | `MVAL` | per key: presence flag (`1`/`0`) + value  | MGET |
 //! | `ERR`  | message                                   | request-level failure |
-//! | `BUSY` | —                                         | load shed: shard queue full, retry later |
+//! | `BUSY` | —                                         | load shed: connection cap reached, retry later |
 //!
 //! `MVAL` carries an explicit presence flag so a *missing* key is
 //! distinguishable from an *empty* value without sentinels.
@@ -126,7 +126,8 @@ pub enum Reply {
     MVal(Vec<Option<Vec<u8>>>),
     /// Request-level failure.
     Err(String),
-    /// Load shed: the target shard's queue was full. Retry later.
+    /// Load shed: the server was at its connection cap, and closed the
+    /// connection. Retry later on a new one.
     Busy,
 }
 

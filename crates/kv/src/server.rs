@@ -1,34 +1,35 @@
-//! The sharded KV server: TCP front-end, per-shard queues, worker
-//! pool, watchdog, and graceful shutdown.
+//! The sharded KV server: TCP front-end, per-shard HCF engines,
+//! connection admission, watchdog, and graceful shutdown.
 //!
 //! # Architecture
 //!
 //! ```text
-//! conn threads (1/connection)     worker pool (fixed)      storage
-//!   parse frame → Command    ┌→ [shard 0 queue] ─┐
-//!   route keys by shard hash ┼→ [shard 1 queue] ─┼→ worker drains its
-//!   try_push (bounded)       ┼→ [shard 2 queue] ─┤  shards; each drain
-//!   BUSY if full             └→ [shard 3 queue] ─┘  = ONE engine op
-//!   block on ReplySlot                               (batch = combined tx)
+//! conn threads (1/connection, each holding a runtime ThreadSlot)
+//!   parse frame → Command
+//!   route keys by shard hash ──→ shard s: encode values into s's arena
+//!                                         engine.execute(ops)  ← HCF phases
+//!                                         decode, retire old handles
+//!   write reply
 //! ```
 //!
 //! Every shard is an independent [`HcfEngine`] over its own
-//! transactional memory, publication arrays, and fallback lock —
-//! the paper's multiple-publication-array design pushed up to the
-//! service layer. A worker draining a shard turns the whole backlog
-//! into a single [`KvBatch`] executed as one engine operation, so the
-//! deeper the queue, the larger the combined transaction: *batching is
-//! combining*, and the per-shard `avg_batch` statistic is the service's
-//! combining degree.
+//! transactional memory, publication arrays, and fallback lock. There
+//! is no request queue and no worker pool: the connection thread that
+//! read a request executes it itself, and **the engine combines across
+//! connections** — a thread that fails TryPrivate announces its
+//! request, and a combiner applies it with its own (§2.2).
 //!
-//! Backpressure is the queue bound ([`KvConfig::queue_cap`]): a full
-//! queue sheds the request with a structured `BUSY` reply rather than
-//! buffering unboundedly. A monitor thread reuses
-//! [`hcf_sim::progress`]'s meter/tracker (the same stall semantics as
-//! the native driver) and declares the server stalled only when the
-//! backlog is non-empty yet no worker completes anything for
-//! [`KvConfig::watchdog_ms`].
+//! All engines share one [`RealRuntime`], so a connection's dense id
+//! (held by a [`ThreadSlot`] for its lifetime, reused once it closes)
+//! serves every shard. At most [`KvConfig::queue_cap`] connections are
+//! admitted, which is also every engine's `max_threads`; the next one
+//! gets `BUSY` and is closed. A monitor declares a stall when requests
+//! are in flight yet none completes for [`KvConfig::watchdog_ms`]
+//! ([`hcf_util::progress`]).
+//!
+//! [`ThreadSlot`]: hcf_tmem::runtime::ThreadSlot
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,40 +37,36 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hcf_core::{HcfConfig, HcfEngine};
+use hcf_core::{ExecStatsSnapshot, HcfConfig, HcfEngine};
 use hcf_ds::HashTable;
-use hcf_sim::progress::{Liveness, ProgressMeter, StallTracker};
 use hcf_tmem::runtime::Runtime;
 use hcf_tmem::{DirectCtx, RealRuntime, TMem, TMemConfig};
 use hcf_util::frame::{read_frame, write_frame_owned, FrameLimits};
+use hcf_util::progress::{Liveness, StallTracker};
 use hcf_util::shard::{shard_of, table_key};
-use hcf_util::sync::{Condvar, Mutex};
+use hcf_util::sync::Mutex;
 
 use crate::proto::{Command, Reply};
-use crate::queue::{BoundedQueue, Gate, PushError};
-use crate::store::{decode_value, encode_value, Arena, KvBatch, KvOp, KvRes, KvShardDs};
+use crate::store::{decode_value, encode_value, Arena, KvBatchRes, KvOp, KvRes, KvShardDs};
 
 /// Server configuration. `Default` gives a loopback server on an
-/// ephemeral port with 8 shards and 2 workers (workers < shards is
-/// deliberate: while a worker transacts on one shard, its other shards
-/// accumulate backlog, which is exactly what makes batches combine).
+/// ephemeral port with 8 shards and room for 128 connections.
 #[derive(Clone, Debug)]
 pub struct KvConfig {
     /// Bind address, e.g. `"127.0.0.1:0"` for an ephemeral port.
     pub addr: String,
     /// Number of independent storage shards (engines).
     pub shards: usize,
-    /// Worker threads; clamped to `shards` (a shard has one owner).
-    pub workers: usize,
-    /// Per-shard queue bound — the backpressure limit.
+    /// The most requests outstanding at one shard. A connection has at
+    /// most one request in flight, so this is also the connection cap
+    /// (and every engine's `max_threads`); connections beyond it are
+    /// shed with `BUSY`.
     pub queue_cap: usize,
-    /// Most queued requests drained into one engine operation.
-    pub batch_max: usize,
     /// Hash-table buckets per shard.
     pub buckets_per_shard: u64,
     /// Transactional-memory words per shard.
     pub words_per_shard: usize,
-    /// Stall deadline: backlog present but nothing completing.
+    /// Stall deadline: requests in flight but none completing.
     pub watchdog_ms: u64,
     /// Monitor polling period.
     pub poll_ms: u64,
@@ -82,9 +79,7 @@ impl Default for KvConfig {
         KvConfig {
             addr: "127.0.0.1:0".into(),
             shards: 8,
-            workers: 2,
             queue_cap: 128,
-            batch_max: 64,
             buckets_per_shard: 1024,
             words_per_shard: 1 << 19,
             watchdog_ms: 5_000,
@@ -107,21 +102,9 @@ impl KvConfig {
         self
     }
 
-    /// Builder-style worker-count override.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Builder-style queue-bound override.
+    /// Builder-style connection-cap override (see [`KvConfig::queue_cap`]).
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Builder-style batch-size override.
-    pub fn with_batch_max(mut self, max: usize) -> Self {
-        self.batch_max = max.max(1);
         self
     }
 
@@ -132,96 +115,60 @@ impl KvConfig {
     }
 }
 
-/// One per-key operation as routed by a connection thread (keys already
-/// hashed; values still raw — encoding needs the target shard's arena,
-/// which only the owning worker touches for writes).
-#[derive(Debug)]
-enum ShardOp {
-    Get(u64),
-    Set(u64, Vec<u8>),
-    Del(u64),
-    Incr(u64),
+/// One storage shard: engine + arena + counters.
+struct KvShard {
+    engine: HcfEngine<KvShardDs>,
+    arena: Arena,
+    /// Requests inside `execute` right now (the watchdog's backlog).
+    in_flight: AtomicU64,
+    /// Requests served; each is exactly one `execute` call.
+    reqs: AtomicU64,
+    ops: AtomicU64,
 }
 
-/// Decoded per-operation outcome handed back to the connection thread.
-#[derive(Debug)]
-enum OpOut {
-    /// SET applied.
-    Done,
-    /// GET missed.
-    Nil,
-    /// GET hit.
-    Bytes(Vec<u8>),
-    /// INCR result or DEL existed-count.
-    Int(u64),
-    /// INCR on a non-integer value.
-    NotInt,
-}
-
-/// One-shot rendezvous between a connection thread and a worker.
-#[derive(Debug, Default)]
-struct ReplySlot {
-    state: Mutex<Option<Vec<OpOut>>>,
-    cv: Condvar,
-}
-
-impl ReplySlot {
-    fn fill(&self, outs: Vec<OpOut>) {
-        *self.state.lock() = Some(outs);
-        self.cv.notify_all();
+impl KvShard {
+    /// Runs one request's operations as one engine operation on the
+    /// calling connection thread.
+    fn execute(&self, ops: Vec<KvOp>) -> KvBatchRes {
+        let n = ops.len() as u64;
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let res = self.engine.execute(Arc::new(ops));
+        // Counted before the reply is written, so a client never sees a
+        // reply the counters do not include yet.
+        self.reqs.fetch_add(1, Ordering::Relaxed);
+        self.ops.fetch_add(n, Ordering::Relaxed);
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        res
     }
 
-    /// Blocks until a worker fills the slot. Unbounded by design: every
-    /// queued request is guaranteed a fill on the normal and drain
-    /// paths; only a watchdog-declared stall abandons waiters (and a
-    /// stall is fatal diagnostics, like [`NativeError::Stalled`]).
-    ///
-    /// [`NativeError::Stalled`]: hcf_sim::native::NativeError
-    fn wait(&self) -> Vec<OpOut> {
-        let mut g = self.state.lock();
-        loop {
-            if let Some(v) = g.take() {
-                return v;
+    /// Retires an overwritten or deleted value's arena slot. Only the
+    /// thread whose committed operation returned `old` calls this, so
+    /// every handle is retired exactly once.
+    fn retire(&self, old: Option<u64>) {
+        if let Some(w) = old {
+            if w & crate::store::INLINE_TAG == 0 {
+                self.arena.retire(w);
             }
-            self.cv.wait(&mut g);
         }
     }
 }
 
-/// A queued request: one or more ops for a single shard plus the slot
-/// awaiting their outcomes.
-#[derive(Debug)]
-struct Pending {
-    ops: Vec<ShardOp>,
-    slot: Arc<ReplySlot>,
-}
-
-/// One storage shard: engine + arena + queue + counters.
-struct KvShard {
-    engine: HcfEngine<KvShardDs>,
-    arena: Arena,
-    queue: BoundedQueue<Pending>,
-    batches: AtomicU64,
-    reqs: AtomicU64,
-    ops: AtomicU64,
-    max_batch: AtomicU64,
-    busy_rejects: AtomicU64,
-}
-
-/// Point-in-time batching counters for one shard. The interesting
-/// number is `reqs / batches`: the average number of queued requests a
-/// worker combined into one engine transaction.
+/// Point-in-time request counters for one shard. How much the engine
+/// combined across connections is in [`KvServer::engine_stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardBatchStats {
-    /// Engine operations executed (one per drained batch).
+    /// Engine operations executed; equals `reqs`, since each request
+    /// (or each shard group of an MGET) is one `execute` call.
     pub batches: u64,
-    /// Requests served.
+    /// Requests served, counting one per shard an MGET touches.
     pub reqs: u64,
     /// Per-key operations applied (MGET fans out several per request).
     pub ops: u64,
-    /// Largest single batch.
+    /// Most requests in one engine operation: 1 once any ran.
     pub max_batch: u64,
-    /// Requests shed with `BUSY`.
+    /// Requests shed with `BUSY` at this shard. Admission sheds whole
+    /// connections before any request is routed (counted server-wide
+    /// as `busy_conns` in `STATS`), so this stays 0.
     pub busy_rejects: u64,
 }
 
@@ -230,14 +177,10 @@ pub struct ShardBatchStats {
 pub struct StallInfo {
     /// Requests completed before the stall.
     pub completed_reqs: u64,
-    /// Per-worker completion counts at stall time.
-    pub per_worker: Vec<u64>,
-    /// Requests queued across all shards at stall time.
-    pub backlog: usize,
-    /// Workers that had already exited.
-    pub workers_done: usize,
-    /// Worker-pool size.
-    pub workers: usize,
+    /// Per-shard completion counts at stall time.
+    pub per_shard: Vec<u64>,
+    /// Requests inside an engine operation at stall time.
+    pub in_flight: u64,
     /// How long nothing completed, in milliseconds.
     pub stalled_for_ms: u64,
 }
@@ -245,10 +188,10 @@ pub struct StallInfo {
 /// Structured server failure, mirroring `hcf_sim::native::NativeError`.
 #[derive(Clone, Debug)]
 pub enum KvError {
-    /// The watchdog saw a non-empty backlog make no progress for the
-    /// deadline. Stuck workers (and connection threads blocked on their
-    /// replies) cannot be cancelled and are left detached — treat this
-    /// as fatal diagnostics, not a recoverable condition.
+    /// The watchdog saw requests in flight make no progress for the
+    /// deadline. Stuck connection threads cannot be cancelled and are
+    /// left detached — treat this as fatal diagnostics, not a
+    /// recoverable condition.
     Stalled(StallInfo),
 }
 
@@ -257,10 +200,9 @@ impl std::fmt::Display for KvError {
         match self {
             KvError::Stalled(s) => write!(
                 f,
-                "kv: no progress for {} ms with backlog {} ({} reqs completed, \
-                 {}/{} workers done, per-worker {:?})",
-                s.stalled_for_ms, s.backlog, s.completed_reqs, s.workers_done, s.workers,
-                s.per_worker
+                "kv: no progress for {} ms with {} requests in flight \
+                 ({} reqs completed, per-shard {:?})",
+                s.stalled_for_ms, s.in_flight, s.completed_reqs, s.per_shard
             ),
         }
     }
@@ -268,58 +210,44 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// A live connection: the server's handle on its socket (for the
+/// shutdown kick) and on its thread.
+struct Conn {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
+}
+
 struct ServerInner {
     cfg: KvConfig,
     shards: Vec<KvShard>,
-    gates: Vec<Gate>,
-    meter: ProgressMeter,
-    workers: usize,
+    /// Shared by every shard engine; also the monitor's clock.
+    rt: Arc<RealRuntime>,
+    /// Live connections by id. Its length is the admission count.
+    conns: Mutex<HashMap<u64, Conn>>,
+    busy_conns: AtomicU64,
     stop: AtomicBool,
     stall: Mutex<Option<StallInfo>>,
-    conns: Mutex<Vec<TcpStream>>,
-    /// Monotonic clock for the monitor (library code takes time through
-    /// the runtime, never from the wall clock directly).
-    clock: RealRuntime,
 }
 
 impl ServerInner {
     fn begin_shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for shard in &self.shards {
-            shard.queue.close();
-        }
-        for gate in &self.gates {
-            gate.notify();
-        }
+        self.stop.store(true, Ordering::Release);
     }
 
-    fn submit(&self, sidx: usize, ops: Vec<ShardOp>) -> Result<Arc<ReplySlot>, Reply> {
-        let shard = &self.shards[sidx];
-        let slot = Arc::new(ReplySlot::default());
-        match shard.queue.try_push(Pending {
-            ops,
-            slot: slot.clone(),
-        }) {
-            Ok(()) => {
-                self.gates[sidx % self.workers].notify();
-                Ok(slot)
-            }
-            Err(PushError::Full(_)) => {
-                shard.busy_rejects.fetch_add(1, Ordering::Relaxed);
-                Err(Reply::Busy)
-            }
-            Err(PushError::Closed(_)) => Err(Reply::Err("server is shutting down".into())),
-        }
+    /// One counter's value at every shard.
+    fn per_shard(&self, counter: impl Fn(&KvShard) -> &AtomicU64) -> Vec<u64> {
+        let load = |s| counter(s).load(Ordering::Relaxed);
+        self.shards.iter().map(load).collect()
     }
 
     fn handle(&self, cmd: Command) -> Reply {
         match cmd {
-            Command::Get(key) => self.single(&key, ShardOp::Get),
-            Command::Set(key, val) => self.single(&key, move |k| ShardOp::Set(k, val)),
-            Command::Del(key) => self.single(&key, ShardOp::Del),
-            Command::Incr(key) => self.single(&key, ShardOp::Incr),
+            Command::Get(key) => self.single(&key, |k, _| KvOp::Get(k)),
+            Command::Set(key, val) => {
+                self.single(&key, |k, arena| KvOp::Set(k, encode_value(&val, arena)))
+            }
+            Command::Del(key) => self.single(&key, |k, _| KvOp::Del(k)),
+            Command::Incr(key) => self.single(&key, |k, _| KvOp::Incr(k)),
             Command::MGet(keys) => self.mget(&keys),
             Command::Stats => Reply::Val(self.stats_json().into_bytes()),
             // The connection loop intercepts SHUTDOWN before `handle`.
@@ -327,54 +255,49 @@ impl ServerInner {
         }
     }
 
-    fn single(&self, key: &[u8], op: impl FnOnce(u64) -> ShardOp) -> Reply {
-        let sidx = shard_of(key, self.shards.len());
-        match self.submit(sidx, vec![op(table_key(key))]) {
-            Err(reply) => reply,
-            Ok(slot) => {
-                let mut outs = slot.wait();
-                debug_assert_eq!(outs.len(), 1);
-                match outs.pop() {
-                    Some(OpOut::Done) => Reply::Ok,
-                    Some(OpOut::Nil) => Reply::Nil,
-                    Some(OpOut::Bytes(b)) => Reply::Val(b),
-                    Some(OpOut::Int(n)) => Reply::Int(n),
-                    Some(OpOut::NotInt) => Reply::Err("value is not an integer".into()),
-                    None => Reply::Err("internal: empty result batch".into()),
-                }
+    /// One-key request. Values are encoded into the shard's arena here,
+    /// once, outside the transaction (speculative retries must not
+    /// re-push).
+    fn single(&self, key: &[u8], op: impl FnOnce(u64, &Arena) -> KvOp) -> Reply {
+        let shard = &self.shards[shard_of(key, self.shards.len())];
+        let op = op(table_key(key), &shard.arena);
+        match (op, shard.execute(vec![op])[0]) {
+            (KvOp::Get(_), KvRes::Word(None)) => Reply::Nil,
+            (KvOp::Get(_), KvRes::Word(Some(w))) => Reply::Val(decode_value(w, &shard.arena)),
+            (KvOp::Set(..), KvRes::Word(old)) => {
+                shard.retire(old);
+                Reply::Ok
             }
+            (KvOp::Del(_), KvRes::Word(old)) => {
+                shard.retire(old);
+                Reply::Int(u64::from(old.is_some()))
+            }
+            (KvOp::Incr(_), KvRes::Int(n)) => Reply::Int(n),
+            (KvOp::Incr(_), KvRes::NotInt) => Reply::Err("value is not an integer".into()),
+            (op, res) => unreachable!("op/result mismatch: {op:?} -> {res:?}"),
         }
     }
 
     fn mget(&self, keys: &[Vec<u8>]) -> Reply {
-        // Group keys per shard, preserving original positions. One
-        // sub-request per shard keeps each group atomic within its
+        // Group keys per shard, preserving original positions. Each
+        // group is one engine operation, so it is atomic within its
         // shard; MGET across shards is not atomic (documented).
         let n_shards = self.shards.len();
-        let mut groups: Vec<(Vec<usize>, Vec<ShardOp>)> = Vec::new();
+        let mut groups: Vec<(Vec<usize>, Vec<KvOp>)> = Vec::new();
         groups.resize_with(n_shards, Default::default);
         for (i, key) in keys.iter().enumerate() {
             let s = shard_of(key, n_shards);
             groups[s].0.push(i);
-            groups[s].1.push(ShardOp::Get(table_key(key)));
+            groups[s].1.push(KvOp::Get(table_key(key)));
         }
-        let mut waits = Vec::new();
-        for (sidx, (pos, ops)) in groups.into_iter().enumerate() {
+        let mut vals: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        for (shard, (pos, ops)) in self.shards.iter().zip(groups) {
             if ops.is_empty() {
                 continue;
             }
-            match self.submit(sidx, ops) {
-                Ok(slot) => waits.push((pos, slot)),
-                // Shed the whole request; already-queued sub-reads are
-                // harmless (their unread slots are simply dropped).
-                Err(reply) => return reply,
-            }
-        }
-        let mut vals: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for (pos, slot) in waits {
-            for (p, out) in pos.into_iter().zip(slot.wait()) {
-                if let OpOut::Bytes(b) = out {
-                    vals[p] = Some(b);
+            for (p, res) in pos.into_iter().zip(shard.execute(ops).iter()) {
+                if let KvRes::Word(Some(w)) = *res {
+                    vals[p] = Some(decode_value(w, &shard.arena));
                 }
             }
         }
@@ -384,28 +307,16 @@ impl ServerInner {
     fn stats_json(&self) -> String {
         let mut per = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let batches = shard.batches.load(Ordering::Relaxed);
-            let reqs = shard.reqs.load(Ordering::Relaxed);
-            let avg_batch = if batches == 0 {
-                0.0
-            } else {
-                reqs as f64 / batches as f64
-            };
             let a = shard.arena.stats();
             per.push(format!(
                 concat!(
-                    "{{\"queue_len\":{},\"batches\":{},\"reqs\":{},\"ops\":{},",
-                    "\"avg_batch\":{:.3},\"max_batch\":{},\"busy_rejects\":{},",
+                    "{{\"in_flight\":{},\"reqs\":{},\"ops\":{},",
                     "\"arena\":{{\"slots\":{},\"retired_slots\":{},",
                     "\"live_bytes\":{},\"dead_bytes\":{}}},\"engine\":{}}}"
                 ),
-                shard.queue.len(),
-                batches,
-                reqs,
+                shard.in_flight.load(Ordering::Relaxed),
+                shard.reqs.load(Ordering::Relaxed),
                 shard.ops.load(Ordering::Relaxed),
-                avg_batch,
-                shard.max_batch.load(Ordering::Relaxed),
-                shard.busy_rejects.load(Ordering::Relaxed),
                 a.slots,
                 a.retired_slots,
                 a.live_bytes,
@@ -415,14 +326,14 @@ impl ServerInner {
         }
         format!(
             concat!(
-                "{{\"shards\":{},\"workers\":{},\"queue_cap\":{},\"batch_max\":{},",
+                "{{\"shards\":{},\"queue_cap\":{},\"conns\":{},\"busy_conns\":{},",
                 "\"total_reqs\":{},\"stalled\":{},\"per_shard\":[{}]}}"
             ),
             self.shards.len(),
-            self.workers,
             self.cfg.queue_cap,
-            self.cfg.batch_max,
-            self.meter.total(),
+            self.conns.lock().len(),
+            self.busy_conns.load(Ordering::Relaxed),
+            self.per_shard(|s| &s.reqs).iter().sum::<u64>(),
             self.stall.lock().is_some(),
             per.join(","),
         )
@@ -436,9 +347,7 @@ pub struct KvServer {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for KvServer {
@@ -446,14 +355,13 @@ impl std::fmt::Debug for KvServer {
         f.debug_struct("KvServer")
             .field("addr", &self.addr)
             .field("shards", &self.inner.shards.len())
-            .field("workers", &self.inner.workers)
             .finish()
     }
 }
 
 impl KvServer {
-    /// Builds the shards, binds the listener, and spawns the worker
-    /// pool, acceptor, and monitor.
+    /// Builds the shards, binds the listener, and spawns the acceptor
+    /// and the monitor.
     ///
     /// # Errors
     ///
@@ -464,40 +372,34 @@ impl KvServer {
     /// Panics if shard construction exhausts the configured
     /// transactional memory (a static misconfiguration).
     pub fn start(cfg: KvConfig) -> io::Result<KvServer> {
-        let workers = cfg.workers.clamp(1, cfg.shards.max(1));
+        let rt = Arc::new(RealRuntime::new());
+        // Setup uses its own throwaway runtime so the constructing
+        // thread never consumes a dense id on the shared runtime: only
+        // admitted connections may hold one.
+        let setup_rt = RealRuntime::new();
         let mut shards = Vec::with_capacity(cfg.shards);
         for _ in 0..cfg.shards.max(1) {
             let mem = Arc::new(TMem::new(
                 TMemConfig::default().with_words(cfg.words_per_shard),
             ));
-            // Setup uses its own throwaway runtime so the constructing
-            // thread never consumes a dense id on the shard's runtime:
-            // the owning worker must stay below the engine's max_threads.
-            let setup_rt = RealRuntime::new();
             let table = {
                 let mut ctx = DirectCtx::new(&mem, &setup_rt);
                 HashTable::create(&mut ctx, cfg.buckets_per_shard)
                     .expect("shard table allocation failed")
             };
-            let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
             let engine = HcfEngine::new(
                 Arc::new(KvShardDs::new(table)),
                 mem,
-                rt,
-                // Only the owning worker executes on this engine; 2
-                // leaves margin without inflating the publication array.
-                HcfConfig::new(2).named("HCF-KV"),
+                rt.clone(),
+                HcfConfig::new(cfg.queue_cap.max(1)).named("HCF-KV"),
             )
             .expect("shard engine allocation failed");
             shards.push(KvShard {
                 engine,
                 arena: Arena::new(),
-                queue: BoundedQueue::new(cfg.queue_cap),
-                batches: AtomicU64::new(0),
+                in_flight: AtomicU64::new(0),
                 reqs: AtomicU64::new(0),
                 ops: AtomicU64::new(0),
-                max_batch: AtomicU64::new(0),
-                busy_rejects: AtomicU64::new(0),
             });
         }
 
@@ -507,42 +409,26 @@ impl KvServer {
 
         let inner = Arc::new(ServerInner {
             shards,
-            gates: (0..workers).map(|_| Gate::new()).collect(),
-            meter: ProgressMeter::new(workers),
-            workers,
+            rt,
+            conns: Mutex::new(HashMap::new()),
+            busy_conns: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stall: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
-            clock: RealRuntime::new(),
             cfg,
         });
-
-        let worker_handles = (0..workers)
-            .map(|wid| {
-                let inner = inner.clone();
-                std::thread::spawn(move || worker_loop(&inner, wid))
-            })
-            .collect();
-
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let inner = inner.clone();
-            let conn_handles = conn_handles.clone();
-            std::thread::spawn(move || acceptor_loop(&inner, &listener, &conn_handles))
+            std::thread::spawn(move || acceptor_loop(&inner, &listener))
         };
-
         let monitor = {
             let inner = inner.clone();
             std::thread::spawn(move || monitor_loop(&inner))
         };
-
         Ok(KvServer {
             inner,
             addr,
             acceptor: Some(acceptor),
-            worker_handles,
             monitor: Some(monitor),
-            conn_handles,
         })
     }
 
@@ -557,39 +443,50 @@ impl KvServer {
         self.inner.stats_json()
     }
 
-    /// Per-shard batching counters (what the bench reports as the
-    /// service-level combining degree).
+    /// Per-shard request counters.
     pub fn shard_batch_stats(&self) -> Vec<ShardBatchStats> {
         self.inner
             .shards
             .iter()
-            .map(|s| ShardBatchStats {
-                batches: s.batches.load(Ordering::Relaxed),
-                reqs: s.reqs.load(Ordering::Relaxed),
-                ops: s.ops.load(Ordering::Relaxed),
-                max_batch: s.max_batch.load(Ordering::Relaxed),
-                busy_rejects: s.busy_rejects.load(Ordering::Relaxed),
+            .map(|s| {
+                let reqs = s.reqs.load(Ordering::Relaxed);
+                ShardBatchStats {
+                    batches: reqs,
+                    reqs,
+                    ops: s.ops.load(Ordering::Relaxed),
+                    max_batch: reqs.min(1),
+                    busy_rejects: 0,
+                }
             })
             .collect()
     }
 
-    /// Initiates shutdown: stops accepting, closes every shard queue
-    /// (queued requests still drain), and wakes the workers. Idempotent;
-    /// also triggered by a client `SHUTDOWN` command.
+    /// Per-shard engine statistics (the `engine` objects of `STATS`):
+    /// completions by HCF phase and the combining degree.
+    pub fn engine_stats(&self) -> Vec<ExecStatsSnapshot> {
+        self.inner.shards.iter().map(|s| s.engine.stats()).collect()
+    }
+
+    /// Initiates shutdown: the acceptor stops taking connections and
+    /// [`KvServer::join`] may proceed. Idempotent; also triggered by a
+    /// client `SHUTDOWN` command.
     pub fn begin_shutdown(&self) {
         self.inner.begin_shutdown();
     }
 
-    /// Waits for a shutdown trigger, drains, and joins every thread.
+    /// Waits for a shutdown trigger, then stops accepting, kicks every
+    /// connection off its next read, and joins every thread. A request
+    /// already read still gets its reply (the kick only shuts the read
+    /// side).
     ///
     /// # Errors
     ///
     /// [`KvError::Stalled`] if the watchdog declared a stall; the stuck
-    /// worker and connection threads are left detached.
+    /// connection threads are left detached.
     ///
     /// # Panics
     ///
-    /// Panics if a worker or service thread panicked.
+    /// Panics if a connection or service thread panicked.
     pub fn join(mut self) -> Result<(), KvError> {
         while !self.inner.stop.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(2));
@@ -597,154 +494,58 @@ impl KvServer {
         if let Some(h) = self.acceptor.take() {
             h.join().expect("kv acceptor panicked");
         }
-        // After the acceptor exits the connection registry is final.
-        let stall = self.inner.stall.lock().clone();
-        if let Some(info) = stall {
-            // Unblock readers; stuck workers/waiters stay detached.
-            for s in self.inner.conns.lock().iter() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            return Err(KvError::Stalled(info));
-        }
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("kv worker panicked");
-        }
         if let Some(h) = self.monitor.take() {
             h.join().expect("kv monitor panicked");
         }
-        // Workers are drained; kick idle connections off their reads.
-        for s in self.inner.conns.lock().iter() {
-            let _ = s.shutdown(Shutdown::Both);
+        // After the acceptor exits the connection set only shrinks.
+        let stall = self.inner.stall.lock().clone();
+        let kick = stall.as_ref().map_or(Shutdown::Read, |_| Shutdown::Both);
+        for c in self.inner.conns.lock().values() {
+            let _ = c.stream.shutdown(kick);
         }
-        let handles: Vec<_> = self.conn_handles.lock().drain(..).collect();
-        for h in handles {
-            h.join().expect("kv connection thread panicked");
+        if let Some(info) = stall {
+            return Err(KvError::Stalled(info));
+        }
+        let conns = std::mem::take(&mut *self.inner.conns.lock());
+        for c in conns.into_values() {
+            c.thread.join().expect("kv connection thread panicked");
         }
         Ok(())
     }
 }
 
-fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
-    struct DoneGuard<'a>(&'a ProgressMeter);
-    impl Drop for DoneGuard<'_> {
-        fn drop(&mut self) {
-            self.0.mark_done();
-        }
-    }
-    let _done = DoneGuard(&inner.meter);
-    let my_shards: Vec<usize> = (0..inner.shards.len())
-        .filter(|s| s % inner.workers == wid)
-        .collect();
-    let mut batch: Vec<Pending> = Vec::with_capacity(inner.cfg.batch_max);
-    loop {
-        let mut drained = 0usize;
-        let mut all_closed = true;
-        for &s in &my_shards {
-            let shard = &inner.shards[s];
-            batch.clear();
-            if shard.queue.drain(inner.cfg.batch_max, &mut batch) {
-                all_closed = false;
-            }
-            if !batch.is_empty() {
-                drained += batch.len();
-                let n = batch.len() as u64;
-                process_batch(shard, &mut batch);
-                inner.meter.record(wid, n);
-            }
-        }
-        if drained == 0 {
-            if all_closed {
-                break;
-            }
-            inner.gates[wid].wait();
-        }
-    }
-}
-
-/// Applies one drained batch as a single engine operation and fills
-/// every request's reply slot.
-fn process_batch(shard: &KvShard, batch: &mut Vec<Pending>) {
-    // Lower to engine ops. Arena writes happen here, outside the
-    // transaction, exactly once per request (speculative retries must
-    // not re-push).
-    let mut ops: Vec<KvOp> = Vec::new();
-    for p in batch.iter() {
-        for op in &p.ops {
-            ops.push(match op {
-                ShardOp::Get(k) => KvOp::Get(*k),
-                ShardOp::Set(k, v) => KvOp::Set(*k, encode_value(v, &shard.arena)),
-                ShardOp::Del(k) => KvOp::Del(*k),
-                ShardOp::Incr(k) => KvOp::Incr(*k),
-            });
-        }
-    }
-    let n_ops = ops.len() as u64;
-    let combined: KvBatch = Arc::new(ops);
-    let results = shard.engine.execute(combined);
-
-    shard.batches.fetch_add(1, Ordering::Relaxed);
-    shard.reqs.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    shard.ops.fetch_add(n_ops, Ordering::Relaxed);
-    shard.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
-
-    let mut idx = 0usize;
-    for p in batch.drain(..) {
-        let mut outs = Vec::with_capacity(p.ops.len());
-        for op in &p.ops {
-            let res = results[idx];
-            idx += 1;
-            outs.push(match (op, res) {
-                (ShardOp::Get(_), KvRes::Word(None)) => OpOut::Nil,
-                (ShardOp::Get(_), KvRes::Word(Some(w))) => {
-                    OpOut::Bytes(decode_value(w, &shard.arena))
-                }
-                (ShardOp::Set(..), KvRes::Word(old)) => {
-                    retire_if_handle(shard, old);
-                    OpOut::Done
-                }
-                (ShardOp::Del(_), KvRes::Word(old)) => {
-                    retire_if_handle(shard, old);
-                    OpOut::Int(u64::from(old.is_some()))
-                }
-                (ShardOp::Incr(_), KvRes::Int(n)) => OpOut::Int(n),
-                (ShardOp::Incr(_), KvRes::NotInt) => OpOut::NotInt,
-                (op, res) => unreachable!("op/result mismatch: {op:?} -> {res:?}"),
-            });
-        }
-        p.slot.fill(outs);
-    }
-}
-
-fn retire_if_handle(shard: &KvShard, old: Option<u64>) {
-    if let Some(w) = old {
-        if w & crate::store::INLINE_TAG == 0 {
-            shard.arena.retire(w);
-        }
-    }
-}
-
-fn acceptor_loop(
-    inner: &Arc<ServerInner>,
-    listener: &TcpListener,
-    conn_handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
+fn acceptor_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
+    let mut next_id = 0u64;
+    while !inner.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // The listener is non-blocking (for the stop poll); the
-                // accepted connection must block normally.
-                if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
+                // accepted connection must block normally. The write
+                // timeout bounds a reply to a client that stopped
+                // reading, which the read-side shutdown kick cannot.
+                let wd = Duration::from_millis(inner.cfg.watchdog_ms);
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_nodelay(true).is_err()
+                    || stream.set_write_timeout(Some(wd)).is_err()
+                {
                     continue;
                 }
-                if let Ok(clone) = stream.try_clone() {
-                    inner.conns.lock().push(clone);
+                let mut conns = inner.conns.lock();
+                if conns.len() >= inner.cfg.queue_cap {
+                    drop(conns);
+                    inner.busy_conns.fetch_add(1, Ordering::Relaxed);
+                    let _ = write_reply(&mut &stream, &Reply::Busy, &mut Vec::new());
+                    continue;
                 }
-                let inner = inner.clone();
-                let h = std::thread::spawn(move || conn_loop(&inner, stream));
-                conn_handles.lock().push(h);
+                let Ok(own) = stream.try_clone() else {
+                    continue;
+                };
+                let (id, conn_inner) = (next_id, inner.clone());
+                next_id += 1;
+                // Spawned under the lock: the thread's exit path removes
+                // its entry, which must already be there.
+                let thread = std::thread::spawn(move || conn_loop(&conn_inner, id, own));
+                conns.insert(id, Conn { stream, thread });
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -754,7 +555,39 @@ fn acceptor_loop(
     }
 }
 
-fn conn_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
+fn write_reply(w: &mut impl Write, reply: &Reply, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    // Infallible: writing into a Vec.
+    write_frame_owned(buf, &reply.to_args()).expect("vec write");
+    w.write_all(buf)
+}
+
+/// Leaves the connection set when a connection thread ends normally. A
+/// panicking thread closes its socket, so the client is not left
+/// waiting, but keeps its entry, so [`KvServer::join`] joins it and
+/// propagates the panic.
+struct ConnExit<'a> {
+    inner: &'a ServerInner,
+    id: u64,
+}
+
+impl Drop for ConnExit<'_> {
+    fn drop(&mut self) {
+        let mut conns = self.inner.conns.lock();
+        if !std::thread::panicking() {
+            conns.remove(&self.id);
+        } else if let Some(c) = conns.get(&self.id) {
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+fn conn_loop(inner: &Arc<ServerInner>, id: u64, stream: TcpStream) {
+    let _exit = ConnExit { inner, id };
+    // Declared after `_exit`, so dropped before it: the dense id returns
+    // to the runtime before the admission slot frees, keeping every
+    // live id below the engines' `max_threads`.
+    let _slot = inner.rt.register();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -762,17 +595,14 @@ fn conn_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
     let mut writer = stream;
     let mut out_buf: Vec<u8> = Vec::with_capacity(256);
     // The loop ends on clean disconnect, framing violation, or the
-    // shutdown kick (socket shutdown turns the blocked read into Err).
+    // shutdown kick (which turns the next blocked read into EOF).
     while let Ok(Some(args)) = read_frame(&mut reader, inner.cfg.limits) {
         let (reply, shutdown) = match Command::parse(&args) {
             Ok(Command::Shutdown) => (Reply::Ok, true),
             Ok(cmd) => (inner.handle(cmd), false),
             Err(msg) => (Reply::Err(msg), false),
         };
-        out_buf.clear();
-        // Infallible: writing into a Vec.
-        write_frame_owned(&mut out_buf, &reply.to_args()).expect("vec write");
-        if writer.write_all(&out_buf).is_err() {
+        if write_reply(&mut writer, &reply, &mut out_buf).is_err() {
             break;
         }
         if shutdown {
@@ -784,26 +614,22 @@ fn conn_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
 
 fn monitor_loop(inner: &Arc<ServerInner>) {
     let deadline_ns = inner.cfg.watchdog_ms.saturating_mul(1_000_000);
-    let mut tracker = StallTracker::new(deadline_ns, inner.clock.now());
-    loop {
-        if inner.meter.all_done() {
-            return;
-        }
+    let mut tracker = StallTracker::new(deadline_ns, inner.rt.now());
+    while !inner.stop.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(inner.cfg.poll_ms.max(1)));
-        let backlog: usize = inner.shards.iter().map(|s| s.queue.len()).sum();
-        if backlog == 0 {
+        let in_flight: u64 = inner.per_shard(|s| &s.in_flight).iter().sum();
+        if in_flight == 0 {
             // An idle server is waiting, not stalled.
-            tracker.reset(inner.clock.now());
+            tracker.reset(inner.rt.now());
             continue;
         }
-        if let Liveness::Stalled(idle_ns) = tracker.observe(inner.meter.total(), inner.clock.now())
-        {
+        let per_shard = inner.per_shard(|s| &s.reqs);
+        let completed_reqs = per_shard.iter().sum();
+        if let Liveness::Stalled(idle_ns) = tracker.observe(completed_reqs, inner.rt.now()) {
             *inner.stall.lock() = Some(StallInfo {
-                completed_reqs: inner.meter.total(),
-                per_worker: inner.meter.per_worker(),
-                backlog,
-                workers_done: inner.meter.done(),
-                workers: inner.workers,
+                completed_reqs,
+                per_shard,
+                in_flight,
                 stalled_for_ms: idle_ns / 1_000_000,
             });
             inner.begin_shutdown();

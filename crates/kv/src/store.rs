@@ -1,5 +1,5 @@
 //! Shard storage: tagged value words, the per-shard value arena, and
-//! the batch [`DataStructure`] the HCF engine drives.
+//! the per-request [`DataStructure`] the HCF engine drives.
 //!
 //! # Value encoding
 //!
@@ -15,19 +15,22 @@
 //!
 //! Whether `INCR` succeeds is decided by the tag bit alone, so the
 //! decision is itself transactional; the arena is only touched outside
-//! transactions (encode before submit, decode after commit), never from
-//! speculative code.
+//! transactions (encode before `execute`, decode and retire after it
+//! returns), never from speculative code.
 //!
-//! # Batching is combining
+//! # The engine combines across connections
 //!
-//! [`KvShardDs`]'s operation type is a whole *batch* of per-key
-//! operations ([`KvBatch`]), applied by `run_seq` in one transaction.
-//! A worker draining its shard's queue therefore combines every queued
-//! request into a single engine operation — the service-level analogue
-//! of the paper's combiner applying announced operations in one
-//! transaction. If several workers' batches ever pile up on one engine,
-//! the engine's own `run_multi` default replays multiple batches in one
-//! transaction, stacking the two combining layers.
+//! [`KvShardDs`]'s operation ([`KvBatch`]) is one request's operations
+//! on this shard — one key, or an MGET's group — applied by `run_seq`
+//! in one transaction. Connection threads call `execute` themselves;
+//! when they contend, the engine's combiner applies several
+//! connections' requests in one transaction (the default `run_multi`).
+//!
+//! The arena stays safe with concurrent executors: a value is encoded
+//! once, by its requester, before `execute`; only the thread whose
+//! committed `execute` returned an old handle retires it (results are
+//! delivered exactly once); and slots are never reused, so a committed
+//! read's handle always resolves.
 
 use std::sync::Arc;
 
@@ -189,16 +192,16 @@ pub enum KvRes {
     NotInt,
 }
 
-/// A batch of operations submitted as **one** engine operation.
-/// `Arc`'d because the engine clones operation descriptors when
-/// announcing and combining them.
+/// One request's operations on one shard, submitted as **one** engine
+/// operation. `Arc`'d because the engine clones operation descriptors
+/// when announcing and combining them.
 pub type KvBatch = Arc<Vec<KvOp>>;
 
 /// Results of one batch, positionally.
 pub type KvBatchRes = Arc<Vec<KvRes>>;
 
 /// The per-shard [`DataStructure`]: a transactional hash table whose
-/// operation granularity is a whole batch.
+/// operation granularity is one request's per-shard operations.
 #[derive(Debug)]
 pub struct KvShardDs {
     table: HashTable,
@@ -241,8 +244,8 @@ impl DataStructure for KvShardDs {
         Ok(Arc::new(out))
     }
 
-    /// Batches are already combined; keep engine-level recombination
-    /// chunks small so a multi-batch transaction still fits.
+    /// An operation can be a whole MGET group; keep combining chunks
+    /// small so a multi-request transaction still fits.
     fn max_multi(&self) -> usize {
         4
     }

@@ -36,7 +36,6 @@ pub mod cost;
 pub mod driver;
 pub mod lincheck;
 pub mod native;
-pub mod progress;
 pub mod runtime;
 pub mod sched;
 pub mod topology;
@@ -50,6 +49,7 @@ pub use native::{
     run_native, run_native_with, LatencyStats, NativeConfig, NativeError, NativeHistory,
     NativeRunResult,
 };
+pub use hcf_util::progress;
 pub use progress::{Liveness, ProgressMeter, StallTracker};
 pub use runtime::LockstepRuntime;
 pub use sched::LockstepScheduler;

@@ -20,6 +20,8 @@
 //!   wire protocol.
 //! * [`shard`] — SplitMix64-based byte-string hashing and shard
 //!   routing for the KV service.
+//! * [`progress`] — completion counters and the stall clock behind the
+//!   native driver's and the KV service's watchdogs.
 //!
 //! The crate deliberately has **zero dependencies** and denies missing
 //! docs on its public API.
@@ -30,6 +32,7 @@
 pub mod dist;
 pub mod frame;
 pub mod pad;
+pub mod progress;
 pub mod ptest;
 pub mod rng;
 pub mod shard;
