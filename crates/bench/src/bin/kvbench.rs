@@ -23,6 +23,7 @@ use hcf_bench::{seed, write_bench_json};
 use hcf_core::stats::ArrayStatsSnapshot;
 use hcf_core::{ExecStatsSnapshot, Phase};
 use hcf_kv::{Command, KvClient, KvConfig, KvServer, Reply};
+use hcf_sim::native::LatencyStats;
 use hcf_util::dist::{Uniform, Zipf};
 use hcf_util::rng::{Rng, SplitMix64};
 
@@ -56,13 +57,10 @@ struct Point {
 
 struct Measured {
     point: Point,
-    total_reqs: u64,
     busy: u64,
     elapsed_ns: u64,
-    p50_ns: u64,
-    p90_ns: u64,
-    p99_ns: u64,
-    mean_ns: u64,
+    /// Per-request latency; `count` is the number of requests sent.
+    latency: LatencyStats,
     engine: ArrayStatsSnapshot,
 }
 
@@ -83,14 +81,6 @@ fn combining(before: &[ExecStatsSnapshot], after: &[ExecStatsSnapshot]) -> Array
         c.helped_ops += a.helped_ops - b.helped_ops;
     }
     c
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn key_bytes(i: u64) -> Vec<u8> {
@@ -193,21 +183,11 @@ fn measure(point: Point, reqs_per_client: u64, server_cfg: &KvConfig) -> Measure
     loader.shutdown().expect("SHUTDOWN");
     server.join().expect("join");
 
-    all_lat.sort_unstable();
-    let mean = if all_lat.is_empty() {
-        0
-    } else {
-        all_lat.iter().sum::<u64>() / all_lat.len() as u64
-    };
     Measured {
         point,
-        total_reqs: all_lat.len() as u64,
         busy,
         elapsed_ns,
-        p50_ns: percentile(&all_lat, 0.50),
-        p90_ns: percentile(&all_lat, 0.90),
-        p99_ns: percentile(&all_lat, 0.99),
-        mean_ns: mean,
+        latency: LatencyStats::from_samples(all_lat),
         engine,
     }
 }
@@ -228,14 +208,14 @@ fn json_row(m: &Measured) -> String {
         m.point.read_pct,
         m.point.clients,
         m.point.rate_per_client,
-        m.total_reqs,
+        m.latency.count,
         m.busy,
         m.elapsed_ns,
-        m.total_reqs as f64 * 1e9 / m.elapsed_ns.max(1) as f64,
-        m.mean_ns,
-        m.p50_ns,
-        m.p90_ns,
-        m.p99_ns,
+        m.latency.count as f64 * 1e9 / m.elapsed_ns.max(1) as f64,
+        m.latency.mean_ns,
+        m.latency.p50_ns,
+        m.latency.p90_ns,
+        m.latency.p99_ns,
         e.avg_degree(),
         e.degree_hist,
         e.phase_fraction(Phase::Private),
@@ -304,11 +284,11 @@ fn main() {
             m.point.dist.name(),
             m.point.read_pct,
             m.point.clients,
-            m.total_reqs,
-            m.total_reqs as f64 * 1e9 / m.elapsed_ns.max(1) as f64,
-            m.p50_ns as f64 / 1000.0,
-            m.p90_ns as f64 / 1000.0,
-            m.p99_ns as f64 / 1000.0,
+            m.latency.count,
+            m.latency.count as f64 * 1e9 / m.elapsed_ns.max(1) as f64,
+            m.latency.p50_ns as f64 / 1000.0,
+            m.latency.p90_ns as f64 / 1000.0,
+            m.latency.p99_ns as f64 / 1000.0,
             m.engine.avg_degree(),
             100.0 * m.engine.phase_fraction(Phase::Private),
             100.0 * m.engine.phase_fraction(Phase::Visible),

@@ -1,86 +1,39 @@
-//! Standalone implementations of the baselines evaluated in §3:
-//! global lock, TLE, FC, SCM, and the naive TLE+FC composition.
+//! The standalone baselines evaluated in §3: TLE, the global lock, and
+//! SCM.
 //!
-//! FC and TLE+FC are thin wrappers over [`HcfEngine`] with the §2.4
-//! configurations that recover those algorithms; Lock, TLE and SCM are
-//! independent implementations (they need no publication machinery).
+//! Both are built from the same two primitives as the HCF engine: one
+//! speculative attempt that subscribes to the data-structure lock, and
+//! one run under that lock. The global lock is TLE with a zero budget.
+//! FC and the naive TLE+FC composition need publication arrays, so they
+//! are not here: they are the §2.4 [`HcfEngine`](crate::HcfEngine)
+//! configurations [`HcfConfig::fc`](crate::HcfConfig::fc) and
+//! [`HcfConfig::tle_fc`](crate::HcfConfig::tle_fc).
 
 use std::fmt;
 use std::sync::Arc;
 
-use hcf_tmem::{DirectCtx, ElidableLock, MemCtx, Runtime, TMem, TxCtx, TxResult};
+use hcf_tmem::{ElidableLock, Runtime, TMem, TxResult};
 
 use crate::ds::DataStructure;
-use crate::engine::{HcfConfig, HcfEngine};
 use crate::executor::Executor;
-use crate::stats::{ExecStats, ExecStatsSnapshot, Phase};
+use crate::guarded::Guarded;
+use crate::stats::{ExecStatsSnapshot, Phase};
 
-/// Every operation runs under a single global lock.
-pub struct LockExecutor<D: DataStructure> {
-    ds: Arc<D>,
-    mem: Arc<TMem>,
-    rt: Arc<dyn Runtime>,
-    lock: ElidableLock,
-    stats: ExecStats,
-}
-
-impl<D: DataStructure> LockExecutor<D> {
-    /// Builds the executor, allocating its lock in `mem`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion.
-    pub fn new(ds: Arc<D>, mem: Arc<TMem>, rt: Arc<dyn Runtime>) -> TxResult<Self> {
-        let lock = ElidableLock::new(mem.clone())?;
-        Ok(LockExecutor {
-            ds,
-            mem,
-            rt,
-            lock,
-            stats: ExecStats::new(1),
-        })
-    }
-}
-
-impl<D: DataStructure> Executor<D> for LockExecutor<D> {
-    fn execute(&self, op: D::Op) -> D::Res {
-        let rt = self.rt.as_ref();
-        self.lock.lock(rt);
-        self.stats.lock_acquired();
-        let mut ctx = DirectCtx::new(&self.mem, rt);
-        let res = self
-            .ds
-            .run_seq(&mut ctx, &op)
-            .expect("run_seq cannot abort under the lock");
-        self.lock.unlock(rt);
-        self.stats.completed(0, Phase::Lock);
-        res
-    }
-
-    fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "Lock"
-    }
-}
-
-impl<D: DataStructure> fmt::Debug for LockExecutor<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockExecutor").finish_non_exhaustive()
-    }
+/// Runs `op` under the data-structure lock.
+fn run_locked<D: DataStructure>(g: &Guarded<D>, op: &D::Op) -> D::Res {
+    g.locked(|ctx| {
+        g.ds.run_seq(ctx, op)
+            .expect("run_seq cannot abort under the lock")
+    })
 }
 
 /// Transactional lock elision: speculate up to `attempts` times, then take
-/// the lock.
+/// the lock. With a zero budget every operation takes the lock: that is
+/// the global-lock baseline, [`Variant::Lock`](crate::Variant::Lock).
 pub struct TleExecutor<D: DataStructure> {
-    ds: Arc<D>,
-    mem: Arc<TMem>,
-    rt: Arc<dyn Runtime>,
-    lock: ElidableLock,
+    g: Guarded<D>,
     attempts: u32,
-    stats: ExecStats,
+    name: &'static str,
 }
 
 impl<D: DataStructure> TleExecutor<D> {
@@ -90,85 +43,54 @@ impl<D: DataStructure> TleExecutor<D> {
     ///
     /// Propagates pool exhaustion.
     pub fn new(ds: Arc<D>, mem: Arc<TMem>, rt: Arc<dyn Runtime>, attempts: u32) -> TxResult<Self> {
-        let lock = ElidableLock::new(mem.clone())?;
+        Self::named(ds, mem, rt, attempts, "TLE")
+    }
+
+    /// [`TleExecutor::new`] reporting `name` from [`Executor::name`].
+    pub(crate) fn named(
+        ds: Arc<D>,
+        mem: Arc<TMem>,
+        rt: Arc<dyn Runtime>,
+        attempts: u32,
+        name: &'static str,
+    ) -> TxResult<Self> {
         Ok(TleExecutor {
-            ds,
-            mem,
-            rt,
-            lock,
+            g: Guarded::new(ds, mem, rt, 1)?,
             attempts,
-            stats: ExecStats::new(1),
+            name,
         })
-    }
-
-    fn try_htm(&self, op: &D::Op) -> Option<D::Res> {
-        let rt = self.rt.as_ref();
-        self.stats.attempt(0);
-        let mut tx = self.mem.begin(rt);
-        let body = {
-            let mut ctx = TxCtx::new(&mut tx);
-            ctx.subscribe(&self.lock)
-                .and_then(|()| self.ds.run_seq(&mut ctx, op))
-        };
-        match body {
-            Ok(res) => match tx.commit() {
-                Ok(()) => {
-                    self.stats.commit(0);
-                    Some(res)
-                }
-                Err(c) => {
-                    self.stats.abort(c);
-                    None
-                }
-            },
-            Err(c) => {
-                let c = tx.rollback(c);
-                self.stats.abort(c);
-                None
-            }
-        }
-    }
-
-    fn run_locked(&self, op: &D::Op) -> D::Res {
-        let rt = self.rt.as_ref();
-        self.lock.lock(rt);
-        self.stats.lock_acquired();
-        let mut ctx = DirectCtx::new(&self.mem, rt);
-        let res = self
-            .ds
-            .run_seq(&mut ctx, op)
-            .expect("run_seq cannot abort under the lock");
-        self.lock.unlock(rt);
-        res
     }
 }
 
 impl<D: DataStructure> Executor<D> for TleExecutor<D> {
     fn execute(&self, op: D::Op) -> D::Res {
+        let g = &self.g;
         for attempt in 0..self.attempts {
-            if let Some(res) = self.try_htm(&op) {
-                self.stats.completed(0, Phase::Private);
+            // TLE retries through every abort, transient or not.
+            if let Ok(res) = g.speculate(0, |ctx| g.ds.run_seq(ctx, &op)) {
+                g.stats.completed(0, Phase::Private);
                 return res;
             }
-            self.rt.backoff(attempt);
+            g.rt.backoff(attempt);
         }
-        let res = self.run_locked(&op);
-        self.stats.completed(0, Phase::Lock);
+        let res = run_locked(g, &op);
+        g.stats.completed(0, Phase::Lock);
         res
     }
 
     fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.stats.snapshot()
+        self.g.stats.snapshot()
     }
 
     fn name(&self) -> &'static str {
-        "TLE"
+        self.name
     }
 }
 
 impl<D: DataStructure> fmt::Debug for TleExecutor<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TleExecutor")
+            .field("name", &self.name)
             .field("attempts", &self.attempts)
             .finish_non_exhaustive()
     }
@@ -181,13 +103,9 @@ impl<D: DataStructure> fmt::Debug for TleExecutor<D> {
 /// fallback lock. Transactions do not subscribe to the auxiliary lock —
 /// it throttles threads, it does not forbid speculation.
 pub struct ScmExecutor<D: DataStructure> {
-    ds: Arc<D>,
-    mem: Arc<TMem>,
-    rt: Arc<dyn Runtime>,
-    lock: ElidableLock,
+    g: Guarded<D>,
     aux: ElidableLock,
     attempts: u32,
-    stats: ExecStats,
 }
 
 impl<D: DataStructure> ScmExecutor<D> {
@@ -197,49 +115,26 @@ impl<D: DataStructure> ScmExecutor<D> {
     ///
     /// Propagates pool exhaustion.
     pub fn new(ds: Arc<D>, mem: Arc<TMem>, rt: Arc<dyn Runtime>, attempts: u32) -> TxResult<Self> {
-        let lock = ElidableLock::new(mem.clone())?;
-        let aux = ElidableLock::new(mem.clone())?;
-        Ok(ScmExecutor {
-            ds,
-            mem,
-            rt,
-            lock,
-            aux,
-            attempts,
-            stats: ExecStats::new(1),
-        })
+        let g = Guarded::new(ds, mem.clone(), rt, 1)?;
+        let aux = ElidableLock::new(mem)?;
+        Ok(ScmExecutor { g, aux, attempts })
     }
 }
 
 impl<D: DataStructure> Executor<D> for ScmExecutor<D> {
     fn execute(&self, op: D::Op) -> D::Res {
-        let rt = self.rt.as_ref();
+        let g = &self.g;
+        let rt = g.rt.as_ref();
         let mut aux_held = false;
         let mut result = None;
         for attempt in 0..self.attempts {
-            self.stats.attempt(0);
-            let mut tx = self.mem.begin(rt);
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                ctx.subscribe(&self.lock)
-                    .and_then(|()| self.ds.run_seq(&mut ctx, &op))
-            };
-            let outcome = match body {
-                Ok(res) => tx.commit().map(|()| res),
-                Err(c) => Err(tx.rollback(c)),
-            };
-            match outcome {
+            match g.speculate(0, |ctx| g.ds.run_seq(ctx, &op)) {
                 Ok(res) => {
-                    self.stats.commit(0);
-                    self.stats.completed(0, Phase::Private);
                     result = Some(res);
                     break;
                 }
-                Err(c) => {
-                    self.stats.abort(c);
-                    if !c.is_transient() {
-                        break;
-                    }
+                Err(c) if !c.is_transient() => break,
+                Err(_) => {
                     // After the first failed attempt, serialize behind the
                     // auxiliary lock before retrying speculatively.
                     if !aux_held && attempt + 1 < self.attempts {
@@ -251,17 +146,13 @@ impl<D: DataStructure> Executor<D> for ScmExecutor<D> {
             }
         }
         let res = match result {
-            Some(res) => res,
+            Some(res) => {
+                g.stats.completed(0, Phase::Private);
+                res
+            }
             None => {
-                self.lock.lock(rt);
-                self.stats.lock_acquired();
-                let mut ctx = DirectCtx::new(&self.mem, rt);
-                let res = self
-                    .ds
-                    .run_seq(&mut ctx, &op)
-                    .expect("run_seq cannot abort under the lock");
-                self.lock.unlock(rt);
-                self.stats.completed(0, Phase::Lock);
+                let res = run_locked(g, &op);
+                g.stats.completed(0, Phase::Lock);
                 res
             }
         };
@@ -272,7 +163,7 @@ impl<D: DataStructure> Executor<D> for ScmExecutor<D> {
     }
 
     fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.stats.snapshot()
+        self.g.stats.snapshot()
     }
 
     fn name(&self) -> &'static str {
@@ -288,99 +179,10 @@ impl<D: DataStructure> fmt::Debug for ScmExecutor<D> {
     }
 }
 
-/// Flat combining: the §2.4 HCF configuration with zero HTM budgets and a
-/// help-everyone combiner.
-pub struct FcExecutor<D: DataStructure> {
-    inner: HcfEngine<D>,
-}
-
-impl<D: DataStructure> FcExecutor<D> {
-    /// Builds the executor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion.
-    pub fn new(
-        ds: Arc<D>,
-        mem: Arc<TMem>,
-        rt: Arc<dyn Runtime>,
-        max_threads: usize,
-    ) -> TxResult<Self> {
-        Ok(FcExecutor {
-            inner: HcfEngine::new(ds, mem, rt, HcfConfig::fc(max_threads))?,
-        })
-    }
-}
-
-impl<D: DataStructure> Executor<D> for FcExecutor<D> {
-    fn execute(&self, op: D::Op) -> D::Res {
-        self.inner.execute(op)
-    }
-
-    fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "FC"
-    }
-}
-
-impl<D: DataStructure> fmt::Debug for FcExecutor<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FcExecutor").finish_non_exhaustive()
-    }
-}
-
-/// The naive TLE-then-FC composition (§1, §3.3): speculate like TLE, and
-/// on failure announce and combine *under the lock* (no combining
-/// transactions).
-pub struct TleFcExecutor<D: DataStructure> {
-    inner: HcfEngine<D>,
-}
-
-impl<D: DataStructure> TleFcExecutor<D> {
-    /// Builds the executor with the given HTM attempt budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion.
-    pub fn new(
-        ds: Arc<D>,
-        mem: Arc<TMem>,
-        rt: Arc<dyn Runtime>,
-        max_threads: usize,
-        attempts: u32,
-    ) -> TxResult<Self> {
-        Ok(TleFcExecutor {
-            inner: HcfEngine::new(ds, mem, rt, HcfConfig::tle_fc(max_threads, attempts))?,
-        })
-    }
-}
-
-impl<D: DataStructure> Executor<D> for TleFcExecutor<D> {
-    fn execute(&self, op: D::Op) -> D::Res {
-        self.inner.execute(op)
-    }
-
-    fn exec_stats(&self) -> ExecStatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "TLE+FC"
-    }
-}
-
-impl<D: DataStructure> fmt::Debug for TleFcExecutor<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TleFcExecutor").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HcfConfig;
     use crate::executor::Variant;
     use hcf_tmem::{Addr, MemCtx, RealRuntime, TMemConfig};
 

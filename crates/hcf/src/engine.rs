@@ -6,13 +6,14 @@ use std::sync::Arc;
 
 use hcf_util::sync::Mutex;
 
-use hcf_tmem::{AbortCause, DirectCtx, ElidableLock, MemCtx, Runtime, TMem, TxCtx, TxResult};
+use hcf_tmem::{AbortCause, DirectCtx, ElidableLock, Runtime, TMem, TxResult};
 
 use crate::ds::DataStructure;
+use crate::guarded::Guarded;
 use crate::policy::{PhasePolicy, SelectPolicy};
 use crate::pubarray::PubArray;
 use crate::record::{OpRecord, OpStatus};
-use crate::stats::{ExecStats, ExecStatsSnapshot, Phase};
+use crate::stats::{ExecStatsSnapshot, Phase};
 
 type Rec<D> = Arc<OpRecord<<D as DataStructure>::Op, <D as DataStructure>::Res>>;
 
@@ -90,11 +91,8 @@ impl HcfConfig {
 /// The HCF engine: executes operations of a [`DataStructure`] through the
 /// TryPrivate → TryVisible → TryCombining → CombineUnderLock pipeline.
 pub struct HcfEngine<D: DataStructure> {
-    ds: Arc<D>,
-    mem: Arc<TMem>,
-    rt: Arc<dyn Runtime>,
-    /// The data-structure lock every transaction subscribes to.
-    lock: ElidableLock,
+    /// The data structure behind the lock every transaction subscribes to.
+    g: Guarded<D>,
     arrays: Vec<PubArray>,
     /// Packed [`PhasePolicy`] per array; mutable at run time (§2.4: "the
     /// customization may be dynamic") — see [`HcfEngine::set_policy`].
@@ -104,7 +102,6 @@ pub struct HcfEngine<D: DataStructure> {
     /// combiners resolve them here. An entry is guaranteed live while the
     /// thread's slot is non-zero (see `choose_ops_to_help`).
     registry: Vec<Mutex<Option<Rec<D>>>>,
-    stats: ExecStats,
     name: &'static str,
     max_threads: usize,
 }
@@ -129,11 +126,11 @@ impl<D: DataStructure> HcfEngine<D> {
         config: HcfConfig,
     ) -> TxResult<Self> {
         let n = ds.num_arrays().max(1);
-        let lock = ElidableLock::new(mem.clone())?;
+        let g = Guarded::new(ds, mem.clone(), rt, n)?;
         // The ds lock is the fallback lock of §2.1: every phase's
         // transactions subscribe to it, which the sanitizer verifies.
         #[cfg(feature = "txsan")]
-        lock.mark_fallback();
+        g.lock.mark_fallback();
         let mut arrays = Vec::with_capacity(n);
         let mut policies = Vec::with_capacity(n);
         for a in 0..n {
@@ -141,14 +138,10 @@ impl<D: DataStructure> HcfEngine<D> {
             policies.push(AtomicU64::new(config.policy_for(a).pack()));
         }
         Ok(HcfEngine {
-            ds,
-            mem,
-            rt,
-            lock,
+            g,
             arrays,
             policies,
             registry: (0..config.max_threads).map(|_| Mutex::new(None)).collect(),
-            stats: ExecStats::new(n),
             name: config.name,
             max_threads: config.max_threads,
         })
@@ -156,17 +149,17 @@ impl<D: DataStructure> HcfEngine<D> {
 
     /// The underlying data structure.
     pub fn ds(&self) -> &Arc<D> {
-        &self.ds
+        &self.g.ds
     }
 
     /// The data-structure lock (exposed for tests and diagnostics).
     pub fn ds_lock(&self) -> &ElidableLock {
-        &self.lock
+        &self.g.lock
     }
 
     /// Framework statistics accumulated so far.
     pub fn stats(&self) -> ExecStatsSnapshot {
-        self.stats.snapshot()
+        self.g.stats.snapshot()
     }
 
     /// The policy currently in force for array `aid`.
@@ -191,19 +184,19 @@ impl<D: DataStructure> HcfEngine<D> {
     /// acting as) a combiner. Linearizes between invocation and return
     /// (§2.3).
     pub fn execute(&self, op: D::Op) -> D::Res {
-        let tid = self.rt.thread_id();
+        let tid = self.g.rt.thread_id();
         assert!(
             tid < self.max_threads,
             "thread id {tid} exceeds configured max_threads {}",
             self.max_threads
         );
-        let aid = self.ds.array_of(&op);
+        let aid = self.g.ds.array_of(&op);
         let pol = self.policy(aid);
         let rec: Rec<D> = Arc::new(OpRecord::new(op));
 
         // Phase 1: TryPrivate.
         if let Some(res) = self.try_private(&rec, aid, &pol) {
-            self.stats.completed(aid, Phase::Private);
+            self.g.stats.completed(aid, Phase::Private);
             return res;
         }
 
@@ -211,12 +204,12 @@ impl<D: DataStructure> HcfEngine<D> {
         // combiner that observes the slot is guaranteed to find the entry.
         *self.registry[tid].lock() = Some(rec.clone());
         rec.set_status(OpStatus::Announced);
-        self.arrays[aid].announce(self.rt.as_ref(), tid);
+        self.arrays[aid].announce(self.g.rt.as_ref(), tid);
 
         // Phase 2: TryVisible.
         match self.try_visible(&rec, tid, aid, &pol) {
             VisibleOutcome::Applied(res) => {
-                self.stats.completed(aid, Phase::Visible);
+                self.g.stats.completed(aid, Phase::Visible);
                 self.clear_registry(tid);
                 return res;
             }
@@ -230,35 +223,11 @@ impl<D: DataStructure> HcfEngine<D> {
 
     fn try_private(&self, rec: &Rec<D>, aid: usize, pol: &PhasePolicy) -> Option<D::Res> {
         for attempt in 0..pol.try_private {
-            self.stats.attempt(aid);
-            let mut tx = self.mem.begin(self.rt.as_ref());
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                ctx.subscribe(&self.lock)
-                    .and_then(|()| self.ds.run_seq(&mut ctx, &rec.op))
-            };
-            match body {
-                Ok(res) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        return Some(res);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if !c.is_transient() {
-                        break;
-                    }
-                }
+            match self.g.speculate(aid, |ctx| self.g.ds.run_seq(ctx, &rec.op)) {
+                Ok(res) => return Some(res),
+                Err(c) if !c.is_transient() => break,
+                Err(_) => self.g.rt.backoff(attempt),
             }
-            self.rt.backoff(attempt);
         }
         None
     }
@@ -276,60 +245,39 @@ impl<D: DataStructure> HcfEngine<D> {
             if rec.status() != OpStatus::Announced {
                 return VisibleOutcome::Helped;
             }
-            self.stats.attempt(aid);
-            let mut tx = self.mem.begin(self.rt.as_ref());
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                (|| {
-                    ctx.subscribe(&self.lock)?;
-                    ctx.subscribe(&pa.selection)?;
-                    if rec.status() != OpStatus::Announced {
-                        ctx.explicit_abort(AbortCause::STATUS_CHANGED)?;
-                    }
-                    // Exactly-once linchpin: read-and-clear our slot inside
-                    // the transaction. A combiner's selection clears the
-                    // slot with a version-bumping direct write, so this
-                    // transaction cannot commit once we have been selected.
-                    let tag = ctx.read(slot)?;
-                    debug_assert_eq!(tag, PubArray::tag(tid));
-                    let res = self.ds.run_seq(&mut ctx, &rec.op)?;
-                    ctx.write(slot, 0)?;
-                    Ok(res)
-                })()
-            };
-            match body {
-                Ok(res) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        rec.complete(res.clone());
-                        return VisibleOutcome::Applied(res);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if c == AbortCause::Explicit(AbortCause::STATUS_CHANGED) {
-                        return VisibleOutcome::Helped;
-                    }
-                    if !c.is_transient() {
-                        break;
-                    }
+            let out = self.g.speculate(aid, |ctx| {
+                ctx.subscribe(&pa.selection)?;
+                if rec.status() != OpStatus::Announced {
+                    ctx.explicit_abort(AbortCause::STATUS_CHANGED)?;
                 }
+                // Exactly-once linchpin: read-and-clear our slot inside
+                // the transaction. A combiner's selection clears the slot
+                // with a version-bumping direct write, so this transaction
+                // cannot commit once we have been selected.
+                let tag = ctx.read(slot)?;
+                debug_assert_eq!(tag, PubArray::tag(tid));
+                let res = self.g.ds.run_seq(ctx, &rec.op)?;
+                ctx.write(slot, 0)?;
+                Ok(res)
+            });
+            match out {
+                Ok(res) => {
+                    rec.complete(res.clone());
+                    return VisibleOutcome::Applied(res);
+                }
+                Err(AbortCause::Explicit(AbortCause::STATUS_CHANGED)) => {
+                    return VisibleOutcome::Helped
+                }
+                Err(c) if !c.is_transient() => break,
+                Err(_) => self.g.rt.backoff(attempt),
             }
-            self.rt.backoff(attempt);
         }
         VisibleOutcome::Exhausted
     }
 
     /// Phases 3 and 4: become a combiner for array `aid`.
     fn combine(&self, rec: &Rec<D>, tid: usize, aid: usize, pol: &PhasePolicy) -> D::Res {
-        let rt = self.rt.as_ref();
+        let rt = self.g.rt.as_ref();
         let pa = &self.arrays[aid];
 
         pa.selection.lock(rt);
@@ -343,67 +291,37 @@ impl<D: DataStructure> HcfEngine<D> {
         if !pol.specialized {
             pa.selection.unlock(rt);
         }
-        self.stats.session(aid, pending.len());
+        self.g.stats.session(aid, pending.len());
 
         // Phase 3: apply selected operations in transactions.
         let mut attempts = 0;
         while !pending.is_empty() && attempts < pol.try_combining {
             attempts += 1;
-            self.stats.attempt(aid);
-            let chunk = pending.len().min(self.ds.max_multi().max(1));
-            let ops: Vec<D::Op> = pending[..chunk].iter().map(|r| r.op.clone()).collect();
-            let mut tx = self.mem.begin(rt);
-            let body = {
-                let mut ctx = TxCtx::new(&mut tx);
-                ctx.subscribe(&self.lock)
-                    .and_then(|()| self.ds.run_multi(&mut ctx, &ops))
-            };
-            match body {
-                Ok(results) => match tx.commit() {
-                    Ok(()) => {
-                        self.stats.commit(aid);
-                        Self::check_results(&results, chunk);
-                        self.retire(aid, &mut pending, results, Phase::Combining);
-                    }
-                    Err(c) => {
-                        self.stats.abort(c);
-                        if !c.is_transient() {
-                            break;
-                        }
-                        rt.backoff(attempts);
-                    }
-                },
-                Err(c) => {
-                    let c = tx.rollback(c);
-                    self.stats.abort(c);
-                    if !c.is_transient() {
-                        break;
-                    }
-                    rt.backoff(attempts);
-                }
+            let ops = self.next_chunk(&pending);
+            match self.g.speculate(aid, |ctx| self.g.ds.run_multi(ctx, &ops)) {
+                Ok(results) => self.retire(aid, &mut pending, ops.len(), results, Phase::Combining),
+                Err(c) if !c.is_transient() => break,
+                Err(_) => rt.backoff(attempts),
             }
         }
 
         // Phase 4: apply the rest under the data-structure lock.
         if !pending.is_empty() {
-            self.lock.lock(rt);
-            self.stats.lock_acquired();
-            while !pending.is_empty() {
-                let chunk = pending.len().min(self.ds.max_multi().max(1));
-                let ops: Vec<D::Op> = pending[..chunk].iter().map(|r| r.op.clone()).collect();
-                let mut ctx = DirectCtx::new(&self.mem, rt);
-                let results = self
-                    .ds
-                    .run_multi(&mut ctx, &ops)
-                    .expect("run_multi cannot abort under the lock");
-                assert!(
-                    !results.is_empty(),
-                    "run_multi must make progress under the lock"
-                );
-                Self::check_results(&results, chunk);
-                self.retire(aid, &mut pending, results, Phase::Lock);
-            }
-            self.lock.unlock(rt);
+            self.g.locked(|ctx| {
+                while !pending.is_empty() {
+                    let ops = self.next_chunk(&pending);
+                    let results = self
+                        .g
+                        .ds
+                        .run_multi(ctx, &ops)
+                        .expect("run_multi cannot abort under the lock");
+                    assert!(
+                        !results.is_empty(),
+                        "run_multi must make progress under the lock"
+                    );
+                    self.retire(aid, &mut pending, ops.len(), results, Phase::Lock);
+                }
+            });
         }
         if pol.specialized {
             pa.selection.unlock(rt);
@@ -428,7 +346,7 @@ impl<D: DataStructure> HcfEngine<D> {
         my: &Rec<D>,
         pol: &PhasePolicy,
     ) -> Vec<Rec<D>> {
-        let rt = self.rt.as_ref();
+        let rt = self.g.rt.as_ref();
         let pa = &self.arrays[aid];
         let mut chosen: Vec<Rec<D>> = Vec::new();
 
@@ -438,7 +356,7 @@ impl<D: DataStructure> HcfEngine<D> {
         chosen.push(my.clone());
 
         if pol.select != SelectPolicy::OwnOnly {
-            let mut heur = DirectCtx::new(&self.mem, rt);
+            let mut heur = DirectCtx::new(&self.g.mem, rt);
             for t in pa.scan(rt) {
                 if t == tid {
                     continue;
@@ -450,7 +368,7 @@ impl<D: DataStructure> HcfEngine<D> {
                 };
                 debug_assert_eq!(other.status(), OpStatus::Announced);
                 let take = pol.select == SelectPolicy::All
-                    || self.ds.should_help(&mut heur, &my.op, &other.op);
+                    || self.g.ds.should_help(&mut heur, &my.op, &other.op);
                 if take {
                     other.set_status(OpStatus::BeingHelped);
                     pa.clear(rt, t);
@@ -461,38 +379,37 @@ impl<D: DataStructure> HcfEngine<D> {
         chosen
     }
 
-    fn check_results(results: &[(usize, D::Res)], chunk: usize) {
-        debug_assert!(
-            results.iter().all(|&(i, _)| i < chunk),
-            "run_multi returned an index outside the chunk"
-        );
-        debug_assert!(
-            {
-                let mut idx: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
-                idx.sort_unstable();
-                idx.windows(2).all(|w| w[0] != w[1])
-            },
-            "run_multi returned duplicate indices"
-        );
+    /// The operations of the next `run_multi` call: a prefix of `pending`
+    /// of at most `max_multi` operations.
+    fn next_chunk(&self, pending: &[Rec<D>]) -> Vec<D::Op> {
+        let chunk = pending.len().min(self.g.ds.max_multi().max(1));
+        pending[..chunk].iter().map(|r| r.op.clone()).collect()
     }
 
-    /// Publishes the results of one successful `run_multi` call and drops
-    /// the applied operations from `pending`. Result indices refer to the
-    /// chunk, which is a prefix of `pending`.
+    /// Publishes the results of one successful `run_multi` call over the
+    /// first `chunk` operations of `pending` and drops the applied ones.
     fn retire(
         &self,
         aid: usize,
         pending: &mut Vec<Rec<D>>,
+        chunk: usize,
         results: Vec<(usize, D::Res)>,
         phase: Phase,
     ) {
-        let mut applied: Vec<usize> = Vec::with_capacity(results.len());
+        let mut applied: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
+        applied.sort_unstable();
+        debug_assert!(
+            applied.last().is_none_or(|&i| i < chunk),
+            "run_multi returned an index outside the chunk"
+        );
+        debug_assert!(
+            applied.windows(2).all(|w| w[0] != w[1]),
+            "run_multi returned duplicate indices"
+        );
         for (i, res) in results {
             pending[i].complete(res);
-            self.stats.completed(aid, phase);
-            applied.push(i);
+            self.g.stats.completed(aid, phase);
         }
-        applied.sort_unstable();
         for &i in applied.iter().rev() {
             pending.remove(i);
         }
@@ -504,7 +421,7 @@ impl<D: DataStructure> HcfEngine<D> {
     fn await_result(&self, rec: &Rec<D>, tid: usize) -> D::Res {
         let mut attempt = 0u32;
         while rec.status() != OpStatus::Done {
-            self.rt.backoff(attempt);
+            self.g.rt.backoff(attempt);
             attempt = attempt.saturating_add(1);
         }
         self.clear_registry(tid);

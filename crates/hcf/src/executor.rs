@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use hcf_tmem::{Runtime, TMem, TxResult};
 
-use crate::baselines::{FcExecutor, LockExecutor, ScmExecutor, TleExecutor, TleFcExecutor};
+use crate::baselines::{ScmExecutor, TleExecutor};
 use crate::ds::DataStructure;
 use crate::engine::{HcfConfig, HcfEngine};
 use crate::stats::ExecStatsSnapshot;
@@ -28,16 +28,19 @@ pub enum Variant {
     /// The HTM-assisted Combining Framework with the data structure's
     /// preferred configuration.
     Hcf,
-    /// A single global lock around every operation.
+    /// A single global lock around every operation: TLE with a zero HTM
+    /// budget.
     Lock,
     /// Transactional lock elision (speculate, then lock).
     Tle,
-    /// Flat combining (announce, combine everything under the lock).
+    /// Flat combining (announce, combine everything under the lock): the
+    /// engine with [`HcfConfig::fc`].
     Fc,
     /// Software-assisted conflict management: TLE with an auxiliary lock
     /// serializing conflicting threads (Afek et al.).
     Scm,
-    /// The naive TLE-then-FC composition discussed in §1/§3.3.
+    /// The naive TLE-then-FC composition discussed in §1/§3.3: the engine
+    /// with [`HcfConfig::tle_fc`].
     TleFc,
 }
 
@@ -98,11 +101,16 @@ impl Variant {
     ) -> TxResult<Arc<dyn Executor<D>>> {
         Ok(match self {
             Variant::Hcf => Arc::new(HcfEngine::new(ds, mem, rt, hcf_config)?),
-            Variant::Lock => Arc::new(LockExecutor::new(ds, mem, rt)?),
+            Variant::Lock => Arc::new(TleExecutor::named(ds, mem, rt, 0, "Lock")?),
             Variant::Tle => Arc::new(TleExecutor::new(ds, mem, rt, attempts)?),
-            Variant::Fc => Arc::new(FcExecutor::new(ds, mem, rt, max_threads)?),
+            Variant::Fc => Arc::new(HcfEngine::new(ds, mem, rt, HcfConfig::fc(max_threads))?),
             Variant::Scm => Arc::new(ScmExecutor::new(ds, mem, rt, attempts)?),
-            Variant::TleFc => Arc::new(TleFcExecutor::new(ds, mem, rt, max_threads, attempts)?),
+            Variant::TleFc => Arc::new(HcfEngine::new(
+                ds,
+                mem,
+                rt,
+                HcfConfig::tle_fc(max_threads, attempts),
+            )?),
         })
     }
 }

@@ -29,11 +29,17 @@
 //! presets, and the specialized single-combiner variant (selection lock
 //! held for the whole combining session) is the `specialized` flag.
 //!
-//! The crate also contains standalone implementations of every baseline
-//! the paper evaluates against: a global lock, TLE, flat combining, SCM
-//! (TLE with an auxiliary lock, Afek et al.), and the naive TLE+FC
-//! composition — all behind the common [`Executor`] trait so that the
-//! experiment harness treats them uniformly.
+//! Every baseline the paper evaluates against sits behind the common
+//! [`Executor`] trait, so the experiment harness treats them uniformly
+//! ([`Variant`]). Flat combining and the naive TLE+FC composition are the
+//! §2.4 engine configurations [`HcfConfig::fc`] and [`HcfConfig::tle_fc`].
+//! TLE and SCM (TLE with an auxiliary lock, Afek et al.) are standalone
+//! [`baselines`], and the global lock is TLE with a zero HTM budget.
+//!
+//! All executors share one implementation of the two ways to run an
+//! operation: one hardware transaction that subscribes to the
+//! data-structure lock, or one run while holding that lock. Each phase
+//! and baseline only chooses when to retry and when to fall back.
 //!
 //! ## Example
 //!
@@ -77,13 +83,14 @@ pub mod baselines;
 pub mod ds;
 pub mod engine;
 pub mod executor;
+mod guarded;
 pub mod policy;
 pub mod pubarray;
 pub mod record;
 pub mod stats;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveEngine};
-pub use baselines::{FcExecutor, LockExecutor, ScmExecutor, TleExecutor, TleFcExecutor};
+pub use baselines::{ScmExecutor, TleExecutor};
 pub use ds::DataStructure;
 pub use engine::{HcfConfig, HcfEngine};
 pub use executor::{Executor, Variant};

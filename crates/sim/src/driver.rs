@@ -162,44 +162,9 @@ where
     ) -> Arc<dyn hcf_core::Executor<D>>,
     G: Fn(usize, &mut StdRng) -> D::Op + Send + Sync,
 {
-    let mem = Arc::new(TMem::new(cfg.tmem.clone()));
-    let setup_rt = RealRuntime::new();
-    let (ds, hcf_config) = {
-        let mut ctx = DirectCtx::new(&mem, &setup_rt);
-        build(&mut ctx, cfg.threads).expect("experiment setup failed")
-    };
-
-    let runtime = Arc::new(LockstepRuntime::new(
-        cfg.topology,
-        cfg.threads,
-        cfg.cost,
-        mem.config().lines(),
-    ));
-    let rt_dyn: Arc<dyn hcf_tmem::Runtime> = runtime.clone();
-    let executor = make_exec(ds, mem.clone(), rt_dyn, cfg.threads, hcf_config);
-
-    let total_ops = AtomicU64::new(0);
-    let deadline = cfg.duration;
-    runtime.run_threads(|tid| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(tid as u64));
-        let mut ops = 0u64;
-        while runtime.now() < deadline {
-            runtime.charge_op_overhead();
-            executor.execute(gen(tid, &mut rng));
-            ops += 1;
-        }
-        total_ops.fetch_add(ops, Ordering::Relaxed);
-    });
-
-    RunResult {
-        threads: cfg.threads,
-        variant,
-        total_ops: total_ops.load(Ordering::Relaxed),
-        elapsed: runtime.elapsed(),
-        exec: executor.exec_stats(),
-        mem: runtime.mem_stats(),
-        tmem: mem.stats(),
-    }
+    // One bucket spans the whole run; `now` charges nothing, so the
+    // bucketing does not move the result.
+    run_timeline(cfg, variant, build, make_exec, gen, u64::MAX).0
 }
 
 /// Runs one measurement with the transactional sanitizer attached and

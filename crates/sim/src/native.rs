@@ -136,8 +136,10 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Builds the profile from an unsorted sample of latencies.
-    fn from_samples(mut samples: Vec<u64>) -> LatencyStats {
+    /// Builds the profile from an unsorted sample of latencies. The
+    /// `p`-th percentile is the sample at index `round((n - 1) · p)` of
+    /// the sorted samples.
+    pub fn from_samples(mut samples: Vec<u64>) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
         }

@@ -51,7 +51,8 @@ fn conflict_gen(_tid: usize, rng: &mut StdRng) -> MapOp {
 }
 
 /// Every variant completes a contended 4-thread run before the watchdog
-/// fires, with exact operation accounting and a linearizable history.
+/// fires, with exact operation and attempt accounting and a linearizable
+/// history.
 #[test]
 fn all_variants_native_runs_are_linearizable() {
     for v in Variant::ALL {
@@ -64,6 +65,12 @@ fn all_variants_native_runs_are_linearizable() {
             .unwrap_or_else(|e| panic!("{v} stalled: {e}"));
         assert_eq!(r.total_ops, 160, "{v} lost operations");
         assert_eq!(r.exec.total_ops(), 160, "{v} stats disagree");
+        let e = &r.exec;
+        assert_eq!(
+            e.htm_attempts,
+            e.htm_commits + e.htm_conflicts + e.htm_capacity + e.htm_explicit,
+            "{v}: attempts must equal commits plus aborts"
+        );
         assert_eq!(history.len(), 160);
         assert!(
             check_linearizable(MapSpec::default(), &history),

@@ -8,7 +8,7 @@ use hcf_core::{HcfConfig, Phase, Variant};
 use hcf_ds::{AvlDs, AvlMode, AvlTree, HashTable, HashTableDs};
 use hcf_sim::driver::{run, SimConfig};
 use hcf_sim::workload::{MapWorkload, SetWorkload};
-use hcf_tmem::{MemCtx, TMemConfig, TxResult};
+use hcf_tmem::{ClockMode, MemCtx, TMemConfig, TxResult};
 use hcf_util::rng::*;
 
 const KEYS: u64 = 1024;
@@ -26,8 +26,18 @@ fn build_table(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<HashTableD
 }
 
 fn table_point(threads: usize, variant: Variant, find_pct: u32, duration: u64) -> hcf_sim::RunResult {
+    table_point_on(TMemConfig::default(), threads, variant, find_pct, duration)
+}
+
+fn table_point_on(
+    tmem: TMemConfig,
+    threads: usize,
+    variant: Variant,
+    find_pct: u32,
+    duration: u64,
+) -> hcf_sim::RunResult {
     let mut cfg = SimConfig::new(threads).with_duration(duration);
-    cfg.tmem = TMemConfig::default().with_words(1 << 20);
+    cfg.tmem = tmem.with_words(1 << 20);
     let w = MapWorkload {
         key_range: KEYS,
         find_pct,
@@ -49,14 +59,66 @@ fn deterministic_full_stack() {
     }
 }
 
+/// Every variant's results at one contended point, pinned. The lockstep
+/// simulation is deterministic, so any change to an executor's sequence of
+/// memory accesses, backoffs or retries moves these numbers (and the
+/// figure CSVs with them). The clock is fixed to GV1 so `HCF_CLOCK_MODE`
+/// cannot move them either. Debug assertions read shared memory (e.g.
+/// the lock word on unlock), which the simulator charges, so each build
+/// profile has its own table.
+#[test]
+fn lockstep_results_are_pinned() {
+    // (variant, total_ops, elapsed, completed_by_phase, lock_acqs,
+    //  htm_attempts, htm_commits)
+    type Pinned = (Variant, u64, u64, [u64; 4], u64, u64, u64);
+    let debug: [Pinned; 6] = [
+        (Variant::Hcf, 2475, 152281, [2327, 48, 89, 11], 5, 3243, 2416),
+        (Variant::Lock, 661, 151841, [0, 0, 0, 661], 661, 0, 0),
+        (Variant::Tle, 2370, 152373, [2345, 0, 0, 25], 25, 3536, 2345),
+        (Variant::Fc, 734, 150856, [0, 0, 0, 734], 431, 0, 0),
+        (Variant::Scm, 2164, 152688, [2164, 0, 0, 0], 0, 2497, 2164),
+        (Variant::TleFc, 2391, 151197, [2368, 0, 0, 23], 23, 3502, 2368),
+    ];
+    let release: [Pinned; 6] = [
+        (Variant::Hcf, 2523, 151925, [2382, 29, 100, 12], 5, 3281, 2454),
+        (Variant::Lock, 663, 151562, [0, 0, 0, 663], 663, 0, 0),
+        (Variant::Tle, 2368, 151534, [2342, 0, 0, 26], 26, 3512, 2342),
+        (Variant::Fc, 735, 150992, [0, 0, 0, 735], 416, 0, 0),
+        (Variant::Scm, 2128, 152213, [2128, 0, 0, 0], 0, 2455, 2128),
+        (Variant::TleFc, 2415, 151475, [2387, 0, 0, 28], 26, 3535, 2387),
+    ];
+    let pinned = if cfg!(debug_assertions) { debug } else { release };
+    for (v, ops, elapsed, phases, locks, attempts, commits) in pinned {
+        let tmem = TMemConfig::default().with_clock_mode(ClockMode::Gv1);
+        let r = table_point_on(tmem, 8, v, 40, 150_000);
+        let got = (
+            r.total_ops,
+            r.elapsed,
+            r.exec.completed_by_phase(),
+            r.exec.lock_acqs,
+            r.exec.htm_attempts,
+            r.exec.htm_commits,
+        );
+        assert_eq!(got, (ops, elapsed, phases, locks, attempts, commits), "{v}");
+    }
+}
+
+/// Every issued operation completes in exactly one phase, and every
+/// speculative attempt ends in exactly one commit or one abort.
 #[test]
 fn phase_accounting_is_exact() {
     for v in Variant::ALL {
         let r = table_point(4, v, 40, 120_000);
+        let e = &r.exec;
         assert_eq!(
-            r.exec.total_ops(),
+            e.total_ops(),
             r.total_ops,
             "{v}: phase completions must sum to op count"
+        );
+        assert_eq!(
+            e.htm_attempts,
+            e.htm_commits + e.htm_conflicts + e.htm_capacity + e.htm_explicit,
+            "{v}: attempts must equal commits plus aborts"
         );
     }
 }
