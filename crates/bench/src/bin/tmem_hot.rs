@@ -230,8 +230,6 @@ fn main() {
         thread_sweep(&[1, 2, 4, 8])
     };
 
-    let clock_mode = TMemConfig::default().clock_mode;
-    println!("clock_mode={clock_mode:?}");
     println!(
         "{:<14} {:>7} {:>10} {:>10} {:>9} {:>14} {:>10}",
         "scenario", "threads", "commits", "aborts", "abort%", "tx/sec", "ns/tx"
@@ -260,8 +258,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hcf-bench-tmem-hot/v1\",");
-    let _ = writeln!(json, "  \"clock_mode\": \"{clock_mode:?}\",");
+    let _ = writeln!(json, "  \"schema\": \"hcf-bench-tmem-hot/v2\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"tx_per_thread\": {per_thread},");
     let _ = writeln!(json, "  \"results\": [");

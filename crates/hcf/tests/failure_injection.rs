@@ -44,7 +44,6 @@ fn capacity_aborts_fall_through_to_the_lock() {
         words_per_line_log2: 0,
         read_cap_lines: 64,
         write_cap_lines: 64,
-        ..TMemConfig::default()
     }));
     let rt = Arc::new(RealRuntime::new());
     let counter = mem.alloc_direct(1).unwrap();
@@ -212,7 +211,6 @@ fn allocation_churn_is_stable_under_tiny_pool() {
         words_per_line_log2: 3,
         read_cap_lines: 4096,
         write_cap_lines: 512,
-        ..TMemConfig::default()
     }));
     let rt = Arc::new(RealRuntime::new());
     let head = mem.alloc_direct(1).unwrap();

@@ -3,8 +3,14 @@
 //! clock, and the history is checked against a sequential map with the
 //! Wing & Gong checker. Connection threads execute on the shard engines
 //! themselves, so every engine is entered by several threads at once.
+//!
+//! MGET is not in the checked histories: it is atomic only within one
+//! shard (each shard's group of keys is one engine operation), and MGET
+//! across shards is not atomic. `mget_is_atomic_within_one_shard` checks
+//! the per-shard guarantee directly.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hcf_kv::store::parse_inline_int;
@@ -137,4 +143,60 @@ fn mixed_ops_on_keys_across_shards_linearize() {
             _ => Command::Incr(k),
         }
     });
+}
+
+#[test]
+fn mget_is_atomic_within_one_shard() {
+    // Three clients INCR one key while a fourth MGETs that key eight
+    // times over: all eight reads are one engine operation on the key's
+    // shard, so every reply must show one value eight times.
+    const READS: usize = 200;
+    let server = KvServer::start(KvConfig::default().with_shards(4).with_watchdog_ms(10_000))
+        .expect("server start");
+    let addr = server.local_addr();
+    let key = b"ctr".to_vec();
+    let stop = AtomicBool::new(false);
+    /// Stops the INCR clients even if the reader panics, so a failed
+    /// assertion fails the test instead of hanging the scope.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    std::thread::scope(|s| {
+        for _ in 0..CLIENTS - 1 {
+            let (key, stop) = (key.clone(), &stop);
+            s.spawn(move || {
+                let mut client = KvClient::connect(addr).expect("connect");
+                while !stop.load(Ordering::Relaxed) {
+                    let r = client.request(&Command::Incr(key.clone()));
+                    assert!(matches!(r, Ok(Reply::Int(_))), "INCR: {r:?}");
+                }
+            });
+        }
+        let _stop = StopOnDrop(&stop);
+        let mut client = KvClient::connect(addr).expect("connect");
+        // Start reading once the INCRs are under way.
+        while client.request(&Command::Get(key.clone())).expect("GET") == Reply::Nil {
+            std::thread::yield_now();
+        }
+        let mget = Command::MGet(vec![key.clone(); 8]);
+        for _ in 0..READS {
+            match client.request(&mget).expect("MGET") {
+                Reply::MVal(vals) => {
+                    assert_eq!(vals.len(), 8);
+                    assert!(
+                        vals.iter().all(|v| *v == vals[0]),
+                        "torn MGET within one shard: {vals:?}"
+                    );
+                }
+                other => panic!("MGET reply: {other:?}"),
+            }
+        }
+    });
+
+    let mut client = KvClient::connect(addr).expect("connect");
+    client.shutdown().expect("SHUTDOWN");
+    server.join().expect("clean join");
 }

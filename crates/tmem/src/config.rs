@@ -1,55 +1,5 @@
 //! Configuration of a transactional memory instance.
 
-/// Global version-clock algorithm, following the TL2 "GV" family.
-///
-/// The clock orders writer commits against reader snapshots. How
-/// aggressively it is advanced trades shared-cache-line traffic against
-/// false conflicts:
-///
-/// * [`Gv1`](ClockMode::Gv1) advances the clock on **every** writer
-///   commit (`fetch_add`). Simple, and under the lockstep runtime fully
-///   deterministic, but at scale every committing writer bounces the
-///   clock's cache line.
-/// * [`Gv5`](ClockMode::Gv5) has writer commits *sample* the clock
-///   (`clock + 1`, taken after the write locks are held) without
-///   advancing it, and advances the clock only when a conflict abort
-///   proves the current value is stale ("bump on validation failure").
-///   Uncontended writers therefore never write the shared clock line.
-///   The cost is one extra false-conflict abort per line whose version
-///   runs ahead of a reader's snapshot — which is exactly the event
-///   that triggers the bump, so retries make progress.
-///
-/// GV5 safety hinges on one invariant: a reader can only record a line
-/// version `v` when `v <= rv <= clock`. A commit samples `clock + 1`
-/// *while holding the line's write lock*, so any reader that recorded
-/// the sampled version must have begun after the clock passed it — at
-/// which point commits sample strictly larger values. Publishing the
-/// same version twice (possible while the clock stands still) is
-/// therefore invisible to every validator. See `DESIGN.md` ("TM hot
-/// path") for the full argument.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Advance the global clock on every writer commit (TL2's GV1).
-    /// The default: deterministic under the lockstep runtime.
-    #[default]
-    Gv1,
-    /// Sample on commit, advance only on conflict (TL2's GV5).
-    Gv5,
-}
-
-impl ClockMode {
-    /// The mode selected by the `HCF_CLOCK_MODE` environment variable
-    /// (`gv1`/`gv5`, case-insensitive), defaulting to GV1. Consulted by
-    /// [`TMemConfig::default`] so whole test suites can be re-certified
-    /// under GV5 without duplicating them (see `ci.sh`).
-    pub fn from_env() -> Self {
-        match std::env::var("HCF_CLOCK_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("gv5") => ClockMode::Gv5,
-            _ => ClockMode::Gv1,
-        }
-    }
-}
-
 /// Configuration for a [`TMem`](crate::TMem) instance.
 ///
 /// The defaults model a TSX-like processor: 64-byte cache lines (8 words),
@@ -74,8 +24,6 @@ pub struct TMemConfig {
     /// Maximum number of distinct lines a transaction may write before it
     /// aborts with [`AbortCause::Capacity`](crate::AbortCause::Capacity).
     pub write_cap_lines: usize,
-    /// Global version-clock algorithm (see [`ClockMode`]).
-    pub clock_mode: ClockMode,
 }
 
 impl Default for TMemConfig {
@@ -85,7 +33,6 @@ impl Default for TMemConfig {
             words_per_line_log2: 3,
             read_cap_lines: 4096,
             write_cap_lines: 512,
-            clock_mode: ClockMode::from_env(),
         }
     }
 }
@@ -99,7 +46,6 @@ impl TMemConfig {
             words_per_line_log2: 0,
             read_cap_lines: 1 << 12,
             write_cap_lines: 1 << 12,
-            clock_mode: ClockMode::from_env(),
         }
     }
 
@@ -118,12 +64,6 @@ impl TMemConfig {
     /// Builder-style override of the write-set capacity in lines.
     pub fn with_write_cap(mut self, lines: usize) -> Self {
         self.write_cap_lines = lines;
-        self
-    }
-
-    /// Builder-style override of the clock mode.
-    pub fn with_clock_mode(mut self, mode: ClockMode) -> Self {
-        self.clock_mode = mode;
         self
     }
 
@@ -174,23 +114,9 @@ mod tests {
         let c = TMemConfig::default()
             .with_words(128)
             .with_read_cap(4)
-            .with_write_cap(2)
-            .with_clock_mode(ClockMode::Gv5);
+            .with_write_cap(2);
         assert_eq!(c.words, 128);
         assert_eq!(c.read_cap_lines, 4);
         assert_eq!(c.write_cap_lines, 2);
-        assert_eq!(c.clock_mode, ClockMode::Gv5);
-    }
-
-    #[test]
-    fn clock_mode_defaults_to_gv1() {
-        // Unless the suite is being re-certified under GV5 via the env
-        // override, the default must stay GV1 (lockstep determinism).
-        if std::env::var("HCF_CLOCK_MODE").is_err() {
-            assert_eq!(TMemConfig::default().clock_mode, ClockMode::Gv1);
-            assert_eq!(ClockMode::from_env(), ClockMode::Gv1);
-        } else {
-            assert_eq!(TMemConfig::default().clock_mode, ClockMode::from_env());
-        }
     }
 }

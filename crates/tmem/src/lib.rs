@@ -86,7 +86,7 @@ pub mod txn;
 pub mod txset;
 
 pub use addr::Addr;
-pub use config::{ClockMode, TMemConfig};
+pub use config::TMemConfig;
 pub use ctx::{DirectCtx, MemCtx, TxCtx};
 pub use error::{AbortCause, TxResult};
 pub use lock::ElidableLock;

@@ -30,7 +30,7 @@ use hcf_util::pad::CachePadded;
 
 use crate::addr::Addr;
 use crate::alloc::Allocator;
-use crate::config::{ClockMode, TMemConfig};
+use crate::config::TMemConfig;
 use crate::error::TxResult;
 use crate::orec::OrecValue;
 use crate::runtime::{AccessKind, Runtime};
@@ -47,20 +47,26 @@ use crate::txn::Txn;
 /// transactional access touches one — and without padding sixteen
 /// *logically disjoint* orecs share each physical cache line, so
 /// transactions on disjoint data still ping-pong metadata lines.
+///
+/// Every field written after [`TMem::new`] is padded; the unpadded fields
+/// (`cfg`, `words`, `orecs`) are read-only, so no field order rustc picks
+/// can put a read-mostly pointer on a line other threads keep writing.
 pub struct TMem {
     cfg: TMemConfig,
     words: Box<[AtomicU64]>,
     /// One ownership record per line, each owning a real cache line.
     orecs: Box<[CachePadded<AtomicU64>]>,
-    /// TL2 global version clock. Padded: under GV1 every writer commit
-    /// writes it, and nothing else may share its line.
+    /// TL2 global version clock. Padded: every writer commit writes it,
+    /// and nothing else may share its line.
     clock: CachePadded<AtomicU64>,
     /// Number of transactions currently between read-set validation and the
     /// end of write-back. [`TMem::quiesce`] waits for this to reach zero;
     /// see [`ElidableLock`](crate::ElidableLock) for the protocol.
     writeback_active: CachePadded<AtomicUsize>,
-    alloc: Allocator,
-    stats: TxStats,
+    /// Padded: allocs and frees write its bump pointer and free lists.
+    alloc: CachePadded<Allocator>,
+    /// Padded: every transactional access increments a counter here.
+    stats: CachePadded<TxStats>,
 }
 
 impl TMem {
@@ -77,8 +83,8 @@ impl TMem {
             orecs,
             clock: CachePadded::new(AtomicU64::new(0)),
             writeback_active: CachePadded::new(AtomicUsize::new(0)),
-            alloc,
-            stats: TxStats::new(),
+            alloc: CachePadded::new(alloc),
+            stats: CachePadded::new(TxStats::new()),
         }
     }
 
@@ -111,32 +117,6 @@ impl TMem {
     /// builds on (`Acquire` half).
     pub(crate) fn bump_clock(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The version a writer commit publishes with, per the configured
-    /// [`ClockMode`]. Must be called **while the write locks are held**:
-    /// GV5's safety argument (see [`ClockMode`]) relies on the sample
-    /// being taken after the lines are locked.
-    pub(crate) fn commit_version(&self) -> u64 {
-        match self.cfg.clock_mode {
-            ClockMode::Gv1 => self.bump_clock(),
-            // GV5: sample without advancing. No reader can have recorded
-            // version `clock + 1` (its snapshot rv ≤ clock), so
-            // publishing it — even twice, while the clock stands still —
-            // fails every validator that read the line earlier.
-            ClockMode::Gv5 => self.clock() + 1,
-        }
-    }
-
-    /// Records a conflict abort. Under GV5 this is the "bump on
-    /// validation failure" half of the protocol: advancing the clock
-    /// here guarantees the retry begins with a snapshot at least as new
-    /// as the version that failed validation, so a stale clock cannot
-    /// livelock readers against already-published lines.
-    pub(crate) fn note_conflict(&self) {
-        if self.cfg.clock_mode == ClockMode::Gv5 {
-            self.bump_clock();
-        }
     }
 
     #[inline]
@@ -218,16 +198,8 @@ impl TMem {
         // under the old version.
         self.word(addr).store(value, Ordering::Release);
         let wv = self.bump_clock();
-        // GV1 keeps the clock strictly ahead of every published version.
-        // GV5 lets commits publish `clock + 1`, so the bumped value here
-        // can *equal* the line's version; that is still invalidating
-        // (no in-flight reader can have recorded a version above its
-        // snapshot, which was ≤ the pre-bump clock) but only GV1 gets
-        // the strict inequality.
-        debug_assert!(match self.cfg.clock_mode {
-            ClockMode::Gv1 => wv > old.version(),
-            ClockMode::Gv5 => wv >= old.version(),
-        });
+        // The clock is strictly ahead of every published version.
+        debug_assert!(wv > old.version());
         // Release: publishes the word store above to readers whose
         // Acquire orec load observes the new version.
         self.orec(line).store(OrecValue::unlocked(wv).raw(), Ordering::Release);
@@ -517,45 +489,6 @@ mod tests {
     fn quiesce_returns_when_no_writebacks() {
         let (m, rt) = setup();
         m.quiesce(&rt); // must not hang
-    }
-
-    #[test]
-    fn gv1_commit_version_advances_clock() {
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv1),
-        );
-        let before = m.clock();
-        assert_eq!(m.commit_version(), before + 1);
-        assert_eq!(m.clock(), before + 1, "GV1 bumps on every commit");
-        m.note_conflict();
-        assert_eq!(m.clock(), before + 1, "GV1 never bumps on conflict");
-    }
-
-    #[test]
-    fn gv5_commit_version_samples_and_bumps_on_conflict() {
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
-        let before = m.clock();
-        assert_eq!(m.commit_version(), before + 1);
-        assert_eq!(m.commit_version(), before + 1, "repeat samples are stable");
-        assert_eq!(m.clock(), before, "sampling must not advance the clock");
-        m.note_conflict();
-        assert_eq!(m.clock(), before + 1, "validation failure advances it");
-        assert_eq!(m.commit_version(), before + 2);
-    }
-
-    #[test]
-    fn gv5_direct_write_still_invalidates_line() {
-        let (mut cfg, rt) = (TMemConfig::small_word_granular(), RealRuntime::new());
-        cfg.clock_mode = ClockMode::Gv5;
-        let m = TMem::new(cfg);
-        let a = m.alloc_direct(1).unwrap();
-        let before = OrecValue(m.orec(m.line_of(a)).load(Ordering::Relaxed));
-        m.write_direct(&rt, a, 7);
-        let after = OrecValue(m.orec(m.line_of(a)).load(Ordering::Relaxed));
-        assert!(after.version() > before.version());
-        assert_eq!(m.read_direct(&rt, a), 7);
     }
 
     #[test]

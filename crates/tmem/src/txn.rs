@@ -78,15 +78,7 @@ impl<'m> Txn<'m> {
     }
 
     fn poison(&mut self, cause: AbortCause) -> AbortCause {
-        if self.poisoned.is_none() {
-            self.poisoned = Some(cause);
-            if cause == AbortCause::Conflict {
-                // GV5's bump-on-validation-failure hook (no-op in GV1):
-                // the failed read proves the snapshot is stale.
-                self.mem.note_conflict();
-            }
-        }
-        self.poisoned.unwrap()
+        *self.poisoned.get_or_insert(cause)
     }
 
     fn check_poison(&self) -> TxResult<()> {
@@ -348,12 +340,10 @@ impl<'m> Txn<'m> {
         // Phase 2: enter the write-back window *before* validating, so a
         // lock acquirer that bumps its lock word after our validation
         // passes will wait for us in `quiesce` (the SeqCst Dekker pair
-        // lives inside `writeback_enter`/`quiesce`). The commit version
-        // is mode-dependent: GV1 advances the shared clock, GV5 samples
-        // it (legal only because the write locks are already held — see
-        // `ClockMode`).
+        // lives inside `writeback_enter`/`quiesce`). Every writer commit
+        // advances the global clock and publishes with the new value.
         mem.writeback_enter();
-        let wv = mem.commit_version();
+        let wv = mem.bump_clock();
 
         // Phase 3: validate the read set.
         let failed = {
@@ -434,8 +424,6 @@ impl<'m> Txn<'m> {
     fn abort_commit(&mut self, _exited_writeback: bool) -> AbortCause {
         self.rt.tx_event(TxEvent::Abort);
         self.mem.stats_ref().record_abort(AbortCause::Conflict);
-        // GV5 bump-on-validation-failure (no-op in GV1).
-        self.mem.note_conflict();
         #[cfg(feature = "txsan")]
         self.san_abort(AbortCause::Conflict);
         self.rollback_internal();
@@ -504,7 +492,7 @@ impl Drop for Txn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ClockMode, TMemConfig};
+    use crate::config::TMemConfig;
     use crate::runtime::RealRuntime;
 
     fn setup() -> (TMem, RealRuntime) {
@@ -632,7 +620,6 @@ mod tests {
             words_per_line_log2: 0,
             read_cap_lines: 1 << 12,
             write_cap_lines: 4,
-            ..TMemConfig::default()
         });
         let rt = RealRuntime::new();
         let a = m.alloc_direct(8).unwrap();
@@ -650,7 +637,6 @@ mod tests {
             words_per_line_log2: 0,
             read_cap_lines: 4,
             write_cap_lines: 1 << 12,
-            ..TMemConfig::default()
         });
         let rt = RealRuntime::new();
         let a = m.alloc_direct(8).unwrap();
@@ -772,9 +758,10 @@ mod tests {
         tx.commit().unwrap();
     }
 
-    fn counter_torture(mode: ClockMode) {
+    #[test]
+    fn concurrent_counter_increments_are_exact() {
         use std::sync::Arc;
-        let m = Arc::new(TMem::new(TMemConfig::default().with_clock_mode(mode)));
+        let m = Arc::new(TMem::new(TMemConfig::default()));
         let rt = Arc::new(RealRuntime::new());
         let a = m.alloc_direct(1).unwrap();
         let threads = 4;
@@ -812,60 +799,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_counter_increments_are_exact() {
-        counter_torture(ClockMode::Gv1);
-    }
-
-    #[test]
-    fn concurrent_counter_increments_are_exact_gv5() {
-        counter_torture(ClockMode::Gv5);
-    }
-
-    #[test]
-    fn gv5_uncontended_writer_commits_without_clock_bump() {
-        let rt = RealRuntime::new();
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
+    fn lone_thread_never_conflicts() {
+        // Best-effort HTM aborts only on a conflict with another thread,
+        // on capacity overflow or explicitly: a thread running alone must
+        // never abort on its own earlier commits or direct writes. The
+        // clock advances once per writer commit and once per direct write.
+        let (m, rt) = setup();
         let a = m.alloc_direct(1).unwrap();
         let clock_before = m.clock();
-        let mut tx = m.begin(&rt);
-        tx.write(a, 1).unwrap();
-        tx.commit().unwrap();
-        assert_eq!(
-            m.clock(),
-            clock_before,
-            "GV5 writer commit must not touch the shared clock"
-        );
-        // The line's published version is the sampled clock + 1 …
-        assert_eq!(m.read_direct(&rt, a), 1);
-        // … and a fresh reader, whose snapshot is behind it, conflicts
-        // once, bumping the clock so its retry succeeds (progress).
-        let mut r = m.begin(&rt);
-        assert_eq!(r.read(a).unwrap_err(), AbortCause::Conflict);
-        let _ = r.rollback(AbortCause::Conflict);
-        assert_eq!(m.clock(), clock_before + 1, "bump on validation failure");
-        let mut r2 = m.begin(&rt);
-        assert_eq!(r2.read(a).unwrap(), 1);
-        r2.commit().unwrap();
-    }
-
-    #[test]
-    fn gv5_write_write_conflict_detected() {
-        let rt = RealRuntime::new();
-        let m = TMem::new(
-            TMemConfig::small_word_granular().with_clock_mode(ClockMode::Gv5),
-        );
-        let a = m.alloc_direct(1).unwrap();
-        let mut t1 = m.begin(&rt);
-        assert_eq!(t1.read(a).unwrap(), 0);
-        t1.write(a, 1).unwrap();
-        let mut t2 = m.begin(&rt);
-        t2.write(a, 2).unwrap();
-        t2.commit().unwrap();
-        // t1 read the line before t2 republished it; its commit must fail
-        // even though t2's version may equal the one t1 recorded + 0 bumps.
-        assert_eq!(t1.commit().unwrap_err(), AbortCause::Conflict);
-        assert_eq!(m.read_direct(&rt, a), 2);
+        let (txs, every) = (1000u64, 100u64);
+        for i in 1..=txs {
+            let mut tx = m.begin(&rt);
+            let v = tx.read(a).unwrap();
+            tx.write(a, v + 1).unwrap();
+            tx.commit().unwrap();
+            if i % every == 0 {
+                m.write_direct(&rt, a, i);
+            }
+        }
+        assert_eq!(m.read_direct(&rt, a), txs);
+        let s = m.stats();
+        assert_eq!(s.commits, txs);
+        assert_eq!(s.aborts_conflict, 0);
+        assert_eq!(m.clock(), clock_before + txs + txs / every);
     }
 }

@@ -214,7 +214,6 @@ proptest_lite! {
             words_per_line_log2: 0,
             read_cap_lines: cap,
             write_cap_lines: cap,
-            ..TMemConfig::default()
         });
         let rt = RealRuntime::new();
         let base = mem.alloc_direct(32).unwrap();

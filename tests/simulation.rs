@@ -8,7 +8,7 @@ use hcf_core::{HcfConfig, Phase, Variant};
 use hcf_ds::{AvlDs, AvlMode, AvlTree, HashTable, HashTableDs};
 use hcf_sim::driver::{run, SimConfig};
 use hcf_sim::workload::{MapWorkload, SetWorkload};
-use hcf_tmem::{ClockMode, MemCtx, TMemConfig, TxResult};
+use hcf_tmem::{MemCtx, TMemConfig, TxResult};
 use hcf_util::rng::*;
 
 const KEYS: u64 = 1024;
@@ -26,18 +26,8 @@ fn build_table(ctx: &mut dyn MemCtx, threads: usize) -> TxResult<(Arc<HashTableD
 }
 
 fn table_point(threads: usize, variant: Variant, find_pct: u32, duration: u64) -> hcf_sim::RunResult {
-    table_point_on(TMemConfig::default(), threads, variant, find_pct, duration)
-}
-
-fn table_point_on(
-    tmem: TMemConfig,
-    threads: usize,
-    variant: Variant,
-    find_pct: u32,
-    duration: u64,
-) -> hcf_sim::RunResult {
     let mut cfg = SimConfig::new(threads).with_duration(duration);
-    cfg.tmem = tmem.with_words(1 << 20);
+    cfg.tmem = TMemConfig::default().with_words(1 << 20);
     let w = MapWorkload {
         key_range: KEYS,
         find_pct,
@@ -62,8 +52,7 @@ fn deterministic_full_stack() {
 /// Every variant's results at one contended point, pinned. The lockstep
 /// simulation is deterministic, so any change to an executor's sequence of
 /// memory accesses, backoffs or retries moves these numbers (and the
-/// figure CSVs with them). The clock is fixed to GV1 so `HCF_CLOCK_MODE`
-/// cannot move them either. Debug assertions read shared memory (e.g.
+/// figure CSVs with them). Debug assertions read shared memory (e.g.
 /// the lock word on unlock), which the simulator charges, so each build
 /// profile has its own table.
 #[test]
@@ -89,8 +78,7 @@ fn lockstep_results_are_pinned() {
     ];
     let pinned = if cfg!(debug_assertions) { debug } else { release };
     for (v, ops, elapsed, phases, locks, attempts, commits) in pinned {
-        let tmem = TMemConfig::default().with_clock_mode(ClockMode::Gv1);
-        let r = table_point_on(tmem, 8, v, 40, 150_000);
+        let r = table_point(8, v, 40, 150_000);
         let got = (
             r.total_ops,
             r.elapsed,
