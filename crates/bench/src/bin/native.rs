@@ -41,11 +41,17 @@ fn ops_per_thread(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// `run_native` stops its clock at the first watchdog poll after the
+/// last operation, so a point must last many poll periods: with the
+/// default 10 ms poll and 2 000 operations per thread, every point read
+/// about 10 ms and its ops/sec measured the poll, not the engine.
 fn native_cfg(threads: usize, ops: u64) -> NativeConfig {
-    NativeConfig::new(threads)
+    let mut cfg = NativeConfig::new(threads)
         .with_ops(ops)
         .with_seed(seed())
-        .with_watchdog_ms(30_000)
+        .with_watchdog_ms(30_000);
+    cfg.poll_ms = 1;
+    cfg
 }
 
 fn hash_row(threads: usize, variant: Variant, find_pct: u32, ops: u64) -> Row {
@@ -114,7 +120,7 @@ fn main() {
     let (threads_sweep, mixes, ops): (&[usize], &[u32], u64) = if smoke {
         (&[4], &[90], ops_per_thread(300))
     } else {
-        (&[1, 2, 4, 8], &[100, 90, 60], ops_per_thread(2_000))
+        (&[1, 2, 4, 8], &[100, 90, 60], ops_per_thread(100_000))
     };
 
     println!(

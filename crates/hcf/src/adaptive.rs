@@ -104,14 +104,13 @@ impl<D: DataStructure> AdaptiveEngine<D> {
             .sum()
     }
 
-    /// Runs the control law for one array if its epoch elapsed. Cheap
-    /// when it has not (two relaxed loads).
+    /// Runs the control law for one array if its epoch elapsed. When it
+    /// has not, this reads only the array's completion counters (summed
+    /// over the per-thread stripes), not a whole snapshot.
     fn maybe_adapt(&self, aid: usize) {
-        let snap = self.engine.stats();
-        let arr = &snap.arrays[aid];
         let ctl = &self.ctl[aid];
         let last = ctl.last_ops.load(Ordering::Relaxed);
-        let ops = arr.total();
+        let ops = self.engine.completed_ops(aid);
         if ops.saturating_sub(last) < self.cfg.epoch_ops {
             return;
         }
@@ -123,9 +122,11 @@ impl<D: DataStructure> AdaptiveEngine<D> {
         {
             return;
         }
-        // The snapshot and the CAS are not atomic together: a racing
-        // thread may have advanced the baselines past our (older)
-        // snapshot. Saturate — this is control-loop telemetry, and a
+        let snap = self.engine.stats();
+        let arr = &snap.arrays[aid];
+        // The CAS and the snapshot are not atomic together: a racing
+        // thread may already have swapped the baselines to a snapshot
+        // newer than ours. Saturate — this is control-loop telemetry, and a
         // clamped epoch merely skips one adjustment.
         let attempts = arr
             .attempts

@@ -162,6 +162,11 @@ impl<D: DataStructure> HcfEngine<D> {
         self.g.stats.snapshot()
     }
 
+    /// Operations of array `aid` completed so far, in any phase.
+    pub(crate) fn completed_ops(&self, aid: usize) -> u64 {
+        self.g.stats.completed_ops(aid)
+    }
+
     /// The policy currently in force for array `aid`.
     pub fn policy(&self, aid: usize) -> PhasePolicy {
         PhasePolicy::unpack(self.policies[aid].load(Ordering::Relaxed))

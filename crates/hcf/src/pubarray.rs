@@ -166,6 +166,9 @@ mod tests {
         assert!(tx.commit().is_err());
     }
 
+    // The checked assertion is a `debug_assert!`, compiled out of
+    // release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn out_of_range_slot_panics_in_debug() {

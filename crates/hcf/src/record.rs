@@ -161,6 +161,9 @@ mod tests {
         assert_eq!(r.take_result(), 1);
     }
 
+    // The checked assertion is a `debug_assert!`, compiled out of
+    // release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "illegal status transition")]
     fn illegal_transition_panics_in_debug() {

@@ -2,8 +2,12 @@
 //!
 //! These power the paper's diagnostic figures: per-phase completion
 //! percentages (Fig. 3), combining degree, and lock-acquisition rates.
+//! Every attempt, commit and completion bumps a counter, so the counters
+//! are kept per thread ([`Striped`]) and snapshots sum the stripes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use hcf_util::pad::{CachePadded, Striped};
 
 /// The phase in which an operation ultimately completed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -47,10 +51,12 @@ struct ArrayStats {
     commits: AtomicU64,
 }
 
-/// Monotonic counters kept by every executor.
+/// One thread's stripe of [`ExecStats`]. Each array's counters (120
+/// bytes) are padded on their own, since the array block lives on the
+/// heap, apart from the stripe's own padding unit.
 #[derive(Debug)]
-pub struct ExecStats {
-    arrays: Vec<ArrayStats>,
+struct ExecCounters {
+    arrays: Box<[CachePadded<ArrayStats>]>,
     lock_acqs: AtomicU64,
     htm_attempts: AtomicU64,
     htm_commits: AtomicU64,
@@ -59,29 +65,38 @@ pub struct ExecStats {
     htm_explicit: AtomicU64,
 }
 
+/// Monotonic counters kept by every executor.
+#[derive(Debug)]
+pub struct ExecStats {
+    stripes: Striped<ExecCounters>,
+}
+
 impl ExecStats {
     /// Creates counters for `num_arrays` publication arrays (baselines
     /// that have no arrays pass 1 and attribute everything to array 0).
     pub fn new(num_arrays: usize) -> Self {
         ExecStats {
-            arrays: (0..num_arrays.max(1)).map(|_| ArrayStats::default()).collect(),
-            lock_acqs: AtomicU64::new(0),
-            htm_attempts: AtomicU64::new(0),
-            htm_commits: AtomicU64::new(0),
-            htm_conflicts: AtomicU64::new(0),
-            htm_capacity: AtomicU64::new(0),
-            htm_explicit: AtomicU64::new(0),
+            stripes: Striped::from_fn(|| ExecCounters {
+                arrays: (0..num_arrays.max(1)).map(|_| CachePadded::default()).collect(),
+                lock_acqs: AtomicU64::new(0),
+                htm_attempts: AtomicU64::new(0),
+                htm_commits: AtomicU64::new(0),
+                htm_conflicts: AtomicU64::new(0),
+                htm_capacity: AtomicU64::new(0),
+                htm_explicit: AtomicU64::new(0),
+            }),
         }
     }
 
     /// Records that one operation of array `aid` completed in `phase`.
     pub fn completed(&self, aid: usize, phase: Phase) {
-        self.arrays[aid].completed[phase as usize].fetch_add(1, Ordering::Relaxed);
+        let a = &self.stripes.local().arrays[aid];
+        a.completed[phase as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a combiner session over `degree` selected operations.
     pub fn session(&self, aid: usize, degree: usize) {
-        let a = &self.arrays[aid];
+        let a = &self.stripes.local().arrays[aid];
         a.sessions.fetch_add(1, Ordering::Relaxed);
         a.helped_ops.fetch_add(degree as u64, Ordering::Relaxed);
         let b = DEGREE_BUCKETS.iter().position(|&ub| degree <= ub).unwrap();
@@ -90,67 +105,88 @@ impl ExecStats {
 
     /// Records a data-structure lock acquisition.
     pub fn lock_acquired(&self) {
-        self.lock_acqs.fetch_add(1, Ordering::Relaxed);
+        self.stripes.local().lock_acqs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one speculative attempt on array `aid`.
     pub fn attempt(&self, aid: usize) {
-        self.htm_attempts.fetch_add(1, Ordering::Relaxed);
-        self.arrays[aid].attempts.fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.htm_attempts.fetch_add(1, Ordering::Relaxed);
+        s.arrays[aid].attempts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a committed speculative attempt on array `aid`.
     pub fn commit(&self, aid: usize) {
-        self.htm_commits.fetch_add(1, Ordering::Relaxed);
-        self.arrays[aid].commits.fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.htm_commits.fetch_add(1, Ordering::Relaxed);
+        s.arrays[aid].commits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an aborted speculative attempt by cause.
     pub fn abort(&self, cause: hcf_tmem::AbortCause) {
         use hcf_tmem::AbortCause::*;
+        let s = self.stripes.local();
         let ctr = match cause {
-            Conflict => &self.htm_conflicts,
-            Capacity | OutOfMemory => &self.htm_capacity,
-            Explicit(_) => &self.htm_explicit,
+            Conflict => &s.htm_conflicts,
+            Capacity | OutOfMemory => &s.htm_capacity,
+            Explicit(_) => &s.htm_explicit,
         };
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of all counters.
+    /// Operations of array `aid` completed so far, in any phase: the
+    /// `total` of its [`ArrayStatsSnapshot`], without taking a snapshot.
+    pub(crate) fn completed_ops(&self, aid: usize) -> u64 {
+        self.stripes
+            .iter()
+            .flat_map(|s| &s.arrays[aid].completed)
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: every counter is an independent monotonic
     /// `fetch_add(1, Relaxed)`; nothing synchronizes *through* them, so
     /// `Relaxed` loads are sufficient here. End-of-run snapshots are
     /// exact because the driver joins the worker threads first (the join
-    /// provides the happens-before edge). Mid-run snapshots (timeline
-    /// sampling) may tear *across* counters — e.g. observe a `commit`
-    /// whose `attempt` increment is not yet visible — so every derived
-    /// metric that subtracts one counter from another must saturate; see
+    /// provides the happens-before edge, whichever stripes the workers
+    /// counted in). Mid-run snapshots (timeline sampling) may tear
+    /// *across* counters and stripes — e.g. observe a `commit` whose
+    /// `attempt` increment is not yet visible — so every derived metric
+    /// that subtracts one counter from another must saturate; see
     /// [`ArrayStatsSnapshot::abort_rate`]. The native driver (`hcf-sim`'s
     /// `native` module) reports only end-of-run snapshots and probes
     /// progress through its own per-thread counters, so its watchdog never
     /// depends on cross-counter consistency.
     pub fn snapshot(&self) -> ExecStatsSnapshot {
-        ExecStatsSnapshot {
-            arrays: self
-                .arrays
-                .iter()
-                .map(|a| ArrayStatsSnapshot {
-                    completed: std::array::from_fn(|i| a.completed[i].load(Ordering::Relaxed)),
-                    sessions: a.sessions.load(Ordering::Relaxed),
-                    helped_ops: a.helped_ops.load(Ordering::Relaxed),
-                    degree_hist: std::array::from_fn(|i| a.degree_hist[i].load(Ordering::Relaxed)),
-                    attempts: a.attempts.load(Ordering::Relaxed),
-                    commits: a.commits.load(Ordering::Relaxed),
-                })
-                .collect(),
-            lock_acqs: self.lock_acqs.load(Ordering::Relaxed),
-            htm_attempts: self.htm_attempts.load(Ordering::Relaxed),
-            htm_commits: self.htm_commits.load(Ordering::Relaxed),
-            htm_conflicts: self.htm_conflicts.load(Ordering::Relaxed),
-            htm_capacity: self.htm_capacity.load(Ordering::Relaxed),
-            htm_explicit: self.htm_explicit.load(Ordering::Relaxed),
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let arrays = self.stripes.iter().next().map_or(0, |s| s.arrays.len());
+        let mut out = ExecStatsSnapshot {
+            arrays: vec![ArrayStatsSnapshot::default(); arrays],
+            ..Default::default()
+        };
+        for s in self.stripes.iter() {
+            for (o, a) in out.arrays.iter_mut().zip(s.arrays.iter()) {
+                for (oc, c) in o.completed.iter_mut().zip(&a.completed) {
+                    *oc += load(c);
+                }
+                o.sessions += load(&a.sessions);
+                o.helped_ops += load(&a.helped_ops);
+                for (oh, h) in o.degree_hist.iter_mut().zip(&a.degree_hist) {
+                    *oh += load(h);
+                }
+                o.attempts += load(&a.attempts);
+                o.commits += load(&a.commits);
+            }
+            out.lock_acqs += load(&s.lock_acqs);
+            out.htm_attempts += load(&s.htm_attempts);
+            out.htm_commits += load(&s.htm_commits);
+            out.htm_conflicts += load(&s.htm_conflicts);
+            out.htm_capacity += load(&s.htm_capacity);
+            out.htm_explicit += load(&s.htm_explicit);
         }
+        out
     }
 }
 

@@ -49,8 +49,10 @@ use crate::txn::Txn;
 /// transactions on disjoint data still ping-pong metadata lines.
 ///
 /// Every field written after [`TMem::new`] is padded; the unpadded fields
-/// (`cfg`, `words`, `orecs`) are read-only, so no field order rustc picks
-/// can put a read-mostly pointer on a line other threads keep writing.
+/// (`cfg`, `words`, `orecs`, `stats`) are read-only — `words`, `orecs`
+/// and `stats` are pointers to heap blocks that are padded where they
+/// are written — so no field order rustc picks can put a read-mostly
+/// pointer on a line other threads keep writing.
 pub struct TMem {
     cfg: TMemConfig,
     words: Box<[AtomicU64]>,
@@ -65,8 +67,10 @@ pub struct TMem {
     writeback_active: CachePadded<AtomicUsize>,
     /// Padded: allocs and frees write its bump pointer and free lists.
     alloc: CachePadded<Allocator>,
-    /// Padded: every transactional access increments a counter here.
-    stats: CachePadded<TxStats>,
+    /// Every transactional access increments a counter here, in the
+    /// accessing thread's own padded stripe; the field itself is only the
+    /// read-only pointer to the stripes.
+    stats: TxStats,
 }
 
 impl TMem {
@@ -84,7 +88,7 @@ impl TMem {
             clock: CachePadded::new(AtomicU64::new(0)),
             writeback_active: CachePadded::new(AtomicUsize::new(0)),
             alloc: CachePadded::new(alloc),
-            stats: CachePadded::new(TxStats::new()),
+            stats: TxStats::new(),
         }
     }
 
@@ -174,7 +178,7 @@ impl TMem {
     /// atomic at word granularity and is appropriate for heuristics
     /// (spin-waiting on a status word, reading a look-aside hint).
     pub fn read_direct(&self, rt: &dyn Runtime, addr: Addr) -> u64 {
-        self.stats.record_direct_read();
+        self.stats.local().record_direct_read();
         rt.mem_access(self.line_of(addr), AccessKind::Read);
         // Acquire: pairs with the Release word stores of commits and
         // direct writes, so observing a published value also makes
@@ -187,7 +191,7 @@ impl TMem {
     /// writes by a lock holder (or by an HCF combiner during selection)
     /// visible as conflicts to speculating transactions.
     pub fn write_direct(&self, rt: &dyn Runtime, addr: Addr, value: u64) {
-        self.stats.record_direct_write();
+        self.stats.local().record_direct_write();
         rt.mem_access(self.line_of(addr), AccessKind::Write);
         let line = self.line_of(addr);
         let old = self.lock_orec_spin(line);
@@ -262,7 +266,7 @@ impl TMem {
             self.orec(line).store(old.raw(), Ordering::Release);
             return Err(cur);
         }
-        self.stats.record_direct_write();
+        self.stats.local().record_direct_write();
         // Release/Release: same publish pair as `write_direct`.
         self.word(addr).store(new, Ordering::Release);
         let wv = self.bump_clock();

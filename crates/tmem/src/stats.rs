@@ -1,17 +1,33 @@
-//! Global transactional-memory statistics.
+//! Per-thread transactional-memory statistics.
+//!
+//! Every transactional access bumps a counter here, so the counters are
+//! kept per thread ([`Striped`]): a thread's bumps stay on its own cache
+//! line, as an HTM's read/write-set bookkeeping stays in its own core,
+//! and [`TxStats::snapshot`] sums the stripes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use hcf_util::pad::Striped;
 
 use crate::error::AbortCause;
 
 /// Monotonic counters kept by a [`TMem`](crate::TMem) instance.
 ///
 /// These are *substrate-level* statistics (the HCF framework keeps its own
-/// per-phase accounting on top). All counters are updated with relaxed
-/// atomics; snapshots are approximate under concurrency, exact in the
-/// deterministic lockstep runtime.
+/// per-phase accounting on top). Each thread counts into its own stripe
+/// with relaxed atomics; snapshots sum the stripes, and are exact once
+/// the counting threads are joined (and always in the deterministic
+/// lockstep runtime).
 #[derive(Debug, Default)]
 pub struct TxStats {
+    stripes: Striped<TxCounters>,
+}
+
+/// One thread's stripe of [`TxStats`]: nine counters, 72 bytes, inside
+/// one 128-byte padding unit. A [`Txn`](crate::Txn) resolves its stripe
+/// once at begin and bumps it on every access.
+#[derive(Debug, Default)]
+pub(crate) struct TxCounters {
     commits: AtomicU64,
     aborts_conflict: AtomicU64,
     aborts_capacity: AtomicU64,
@@ -64,12 +80,7 @@ impl TxStatsSnapshot {
     }
 }
 
-impl TxStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl TxCounters {
     pub(crate) fn record_commit(&self) {
         self.commits.fetch_add(1, Ordering::Relaxed);
     }
@@ -99,29 +110,45 @@ impl TxStats {
     pub(crate) fn record_direct_write(&self) {
         self.direct_writes.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Takes a snapshot of all counters.
+impl TxStats {
+    /// Creates zeroed statistics.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The calling thread's stripe.
+    #[inline]
+    pub(crate) fn local(&self) -> &TxCounters {
+        self.stripes.local()
+    }
+
+    /// Takes a snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: all counters are independent monotonic
     /// `fetch_add(1, Relaxed)` — no code synchronizes through them, so
     /// relaxed loads suffice. End-of-run snapshots are exact (the caller
     /// joins worker threads first, which orders all their increments
-    /// before the loads); concurrent snapshots may tear across counters
-    /// but every derived metric here ([`TxStatsSnapshot::aborts`],
+    /// before the loads, whichever stripes they went to); concurrent
+    /// snapshots may tear across counters and stripes, but every derived
+    /// metric here ([`TxStatsSnapshot::aborts`],
     /// [`TxStatsSnapshot::commit_ratio`]) only *adds* counters, so a torn
     /// snapshot can under-count but never underflow.
     pub fn snapshot(&self) -> TxStatsSnapshot {
-        TxStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
-            aborts_oom: self.aborts_oom.load(Ordering::Relaxed),
-            tx_reads: self.tx_reads.load(Ordering::Relaxed),
-            tx_writes: self.tx_writes.load(Ordering::Relaxed),
-            direct_reads: self.direct_reads.load(Ordering::Relaxed),
-            direct_writes: self.direct_writes.load(Ordering::Relaxed),
+        let mut out = TxStatsSnapshot::default();
+        for c in self.stripes.iter() {
+            out.commits += c.commits.load(Ordering::Relaxed);
+            out.aborts_conflict += c.aborts_conflict.load(Ordering::Relaxed);
+            out.aborts_capacity += c.aborts_capacity.load(Ordering::Relaxed);
+            out.aborts_explicit += c.aborts_explicit.load(Ordering::Relaxed);
+            out.aborts_oom += c.aborts_oom.load(Ordering::Relaxed);
+            out.tx_reads += c.tx_reads.load(Ordering::Relaxed);
+            out.tx_writes += c.tx_writes.load(Ordering::Relaxed);
+            out.direct_reads += c.direct_reads.load(Ordering::Relaxed);
+            out.direct_writes += c.direct_writes.load(Ordering::Relaxed);
         }
+        out
     }
 }
 
@@ -131,13 +158,14 @@ mod tests {
 
     #[test]
     fn abort_causes_counted_separately() {
-        let s = TxStats::new();
+        let stats = TxStats::new();
+        let s = stats.local();
         s.record_abort(AbortCause::Conflict);
         s.record_abort(AbortCause::Conflict);
         s.record_abort(AbortCause::Capacity);
         s.record_abort(AbortCause::Explicit(1));
         s.record_abort(AbortCause::OutOfMemory);
-        let snap = s.snapshot();
+        let snap = stats.snapshot();
         assert_eq!(snap.aborts_conflict, 2);
         assert_eq!(snap.aborts_capacity, 1);
         assert_eq!(snap.aborts_explicit, 1);
@@ -147,21 +175,23 @@ mod tests {
 
     #[test]
     fn commit_ratio() {
-        let s = TxStats::new();
-        assert_eq!(s.snapshot().commit_ratio(), 1.0);
+        let stats = TxStats::new();
+        let s = stats.local();
+        assert_eq!(stats.snapshot().commit_ratio(), 1.0);
         s.record_commit();
         s.record_abort(AbortCause::Conflict);
-        assert!((s.snapshot().commit_ratio() - 0.5).abs() < 1e-12);
+        assert!((stats.snapshot().commit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn access_counters() {
-        let s = TxStats::new();
+        let stats = TxStats::new();
+        let s = stats.local();
         s.record_tx_read();
         s.record_tx_write();
         s.record_direct_read();
         s.record_direct_write();
-        let snap = s.snapshot();
+        let snap = stats.snapshot();
         assert_eq!(
             (
                 snap.tx_reads,

@@ -8,6 +8,7 @@ use crate::error::{AbortCause, TxResult};
 use crate::mem::TMem;
 use crate::orec::OrecValue;
 use crate::runtime::{AccessKind, Runtime, TxEvent};
+use crate::stats::TxCounters;
 use crate::txset::TxnScratch;
 
 /// An in-flight transaction.
@@ -29,6 +30,9 @@ use crate::txset::TxnScratch;
 pub struct Txn<'m> {
     mem: &'m TMem,
     rt: &'m dyn Runtime,
+    /// The beginning thread's statistics stripe, resolved once here so
+    /// reads and writes do not look up a thread-local each.
+    stats: &'m TxCounters,
     /// Begin-time snapshot of the global clock.
     rv: u64,
     /// Read set, write set, line bookkeeping and commit scratch (pooled).
@@ -60,6 +64,7 @@ impl<'m> Txn<'m> {
         Txn {
             mem,
             rt,
+            stats: mem.stats_ref().local(),
             rv,
             scratch: rt.take_scratch(),
             poisoned: None,
@@ -116,7 +121,7 @@ impl<'m> Txn<'m> {
         if let Some(v) = self.scratch.writes.get(addr.0) {
             return Ok(v);
         }
-        self.mem.stats_ref().record_tx_read();
+        self.stats.record_tx_read();
         let line = self.mem.line_of(addr);
         self.rt.mem_access(line, AccessKind::Read);
         // The o1/data/o2 sandwich. Orderings:
@@ -168,7 +173,7 @@ impl<'m> Txn<'m> {
     /// configured limit.
     pub fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
         self.check_poison()?;
-        self.mem.stats_ref().record_tx_write();
+        self.stats.record_tx_write();
         let line = self.mem.line_of(addr);
         if self.scratch.writes.get(addr.0).is_none() {
             // Encounter-time coherence event: TSX takes lines exclusive at
@@ -269,7 +274,7 @@ impl<'m> Txn<'m> {
             // Read-only transactions were validated read-by-read against
             // `rv`; nothing to publish.
             self.finished = true;
-            self.mem.stats_ref().record_commit();
+            self.stats.record_commit();
             // Guarded: `thread_id()` must not be evaluated while dormant
             // (it assigns ids on the real runtime).
             #[cfg(feature = "txsan")]
@@ -412,7 +417,7 @@ impl<'m> Txn<'m> {
         }
 
         self.finished = true;
-        self.mem.stats_ref().record_commit();
+        self.stats.record_commit();
         self.execute_frees();
         Ok(())
     }
@@ -423,7 +428,7 @@ impl<'m> Txn<'m> {
     /// pre-scratch code: unlock stores, then `TxEvent::Abort`.
     fn abort_commit(&mut self, _exited_writeback: bool) -> AbortCause {
         self.rt.tx_event(TxEvent::Abort);
-        self.mem.stats_ref().record_abort(AbortCause::Conflict);
+        self.stats.record_abort(AbortCause::Conflict);
         #[cfg(feature = "txsan")]
         self.san_abort(AbortCause::Conflict);
         self.rollback_internal();
@@ -436,7 +441,7 @@ impl<'m> Txn<'m> {
     pub fn rollback(mut self, default_cause: AbortCause) -> AbortCause {
         let cause = self.poisoned.unwrap_or(default_cause);
         self.rt.tx_event(TxEvent::Abort);
-        self.mem.stats_ref().record_abort(cause);
+        self.stats.record_abort(cause);
         #[cfg(feature = "txsan")]
         self.san_abort(cause);
         self.rollback_internal();
@@ -476,8 +481,7 @@ impl Drop for Txn<'_> {
             // Dropped without commit/rollback (e.g. `?` propagation past
             // the transaction): count it as an abort and recycle allocs.
             self.rt.tx_event(TxEvent::Abort);
-            self.mem
-                .stats_ref()
+            self.stats
                 .record_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
             #[cfg(feature = "txsan")]
             self.san_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
