@@ -20,8 +20,8 @@ cargo build --release --offline --workspace
 echo "==> test (offline, workspace)"
 cargo test -q --offline --workspace
 
-echo "==> tmem and hcf-core tests at the benchmarks' optimisation level (release)"
-cargo test -q --release --offline -p hcf-tmem -p hcf-core
+echo "==> util, tmem and hcf-core tests at the benchmarks' optimisation level (release)"
+cargo test -q --release --offline -p hcf-util -p hcf-tmem -p hcf-core
 
 echo "==> rustdoc (offline, warning-free)"
 RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps --offline --workspace

@@ -117,15 +117,13 @@ mod tests {
     /// than the write capacity.
     const WRITE_CAP: usize = 2;
 
-    fn guarded() -> (Guarded<Nothing>, Arc<RealRuntime>) {
+    fn guarded() -> Guarded<Nothing> {
         let cfg = TMemConfig {
             write_cap_lines: WRITE_CAP,
             ..TMemConfig::default()
         };
-        let rt = Arc::new(RealRuntime::new());
         let mem = Arc::new(TMem::new(cfg));
-        let g = Guarded::new(Arc::new(Nothing), mem, rt.clone(), 2).unwrap();
-        (g, rt)
+        Guarded::new(Arc::new(Nothing), mem, Arc::new(RealRuntime::new()), 2).unwrap()
     }
 
     /// One thread's data: `WRITE_CAP + 1` words, each on its own line.
@@ -177,20 +175,16 @@ mod tests {
         }
     }
 
-    /// Every counter of the three striped users: `TxStats`, `ExecStats`
-    /// and `RealRuntime`.
+    /// Every counter of the two striped users: `TxStats` and `ExecStats`.
     struct Counts {
         tx: TxStatsSnapshot,
         exec: ExecStatsSnapshot,
-        rt: (u64, u64, u64, u64),
     }
 
-    fn counts(g: &Guarded<Nothing>, rt: &RealRuntime) -> Counts {
-        let (b, c, a) = rt.tx_counts();
+    fn counts(g: &Guarded<Nothing>) -> Counts {
         Counts {
             tx: g.mem.stats(),
             exec: g.stats.snapshot(),
-            rt: (b, c, a, rt.access_count()),
         }
     }
 
@@ -215,10 +209,6 @@ mod tests {
                 e.htm_conflicts,
                 e.htm_capacity,
                 e.htm_explicit,
-                c.rt.0,
-                c.rt.1,
-                c.rt.2,
-                c.rt.3,
             ];
             for a in &e.arrays {
                 v.extend(a.completed);
@@ -236,21 +226,21 @@ mod tests {
 
     /// One thread's counts, run alone on a fresh instance.
     fn one_thread() -> Vec<u64> {
-        let (g, rt) = guarded();
+        let g = guarded();
         let mine = lines(&g);
-        let before = counts(&g, &rt);
+        let before = counts(&g);
         speculate_all(&g, &mine);
         lock_all(&g, &mine);
-        delta(&before, &counts(&g, &rt))
+        delta(&before, &counts(&g))
     }
 
     #[test]
     fn striped_counters_are_exact_across_threads() {
         const THREADS: u64 = 4;
         let one = one_thread();
-        let (g, rt) = guarded();
+        let g = guarded();
         let mine: Vec<Vec<Addr>> = (0..THREADS).map(|_| lines(&g)).collect();
-        let before = counts(&g, &rt);
+        let before = counts(&g);
         let speculated = Barrier::new(THREADS as usize);
         // Locked runs take turns, so no thread spins on the lock (a
         // spin's direct reads are not a known number) and no speculation
@@ -270,7 +260,7 @@ mod tests {
                 });
             }
         });
-        let after = counts(&g, &rt);
+        let after = counts(&g);
         let scaled: Vec<u64> = one.iter().map(|c| c * THREADS).collect();
         assert_eq!(delta(&before, &after), scaled);
 
@@ -296,7 +286,7 @@ mod tests {
         assert_eq!(exec.arrays.iter().map(|a| a.sessions).sum::<u64>(), sessions);
         assert_eq!(exec.arrays[0].helped_ops, 3 * sessions);
         assert_eq!(exec.arrays.iter().map(|a| a.attempts).sum::<u64>(), exec.htm_attempts);
-        assert_eq!(rt.tx_counts().0, exec.htm_attempts);
+        assert_eq!(tx.commits + tx.aborts(), exec.htm_attempts);
     }
 
     #[test]
@@ -305,9 +295,9 @@ mod tests {
         // reuse the stripes of earlier ones, and every count still lands.
         const THREADS: u64 = COUNTER_STRIPES as u64 + 6;
         let one = one_thread();
-        let (g, rt) = guarded();
+        let g = guarded();
         let mine = lines(&g);
-        let before = counts(&g, &rt);
+        let before = counts(&g);
         for _ in 0..THREADS {
             std::thread::scope(|s| {
                 s.spawn(|| {
@@ -317,6 +307,6 @@ mod tests {
             });
         }
         let scaled: Vec<u64> = one.iter().map(|c| c * THREADS).collect();
-        assert_eq!(delta(&before, &counts(&g, &rt)), scaled);
+        assert_eq!(delta(&before, &counts(&g)), scaled);
     }
 }

@@ -64,7 +64,10 @@ pub struct KvConfig {
     pub queue_cap: usize,
     /// Hash-table buckets per shard.
     pub buckets_per_shard: u64,
-    /// Transactional-memory words per shard.
+    /// Transactional-memory words per shard. This is reserved address
+    /// space, not resident memory: the default 512 Ki words reserve
+    /// 12 MiB per shard (words and orecs), of which only the pages the
+    /// shard's table and values touch become resident.
     pub words_per_shard: usize,
     /// Stall deadline: requests in flight but none completing.
     pub watchdog_ms: u64,

@@ -40,7 +40,7 @@ use hcf_util::rng::*;
 use hcf_util::sync::Mutex;
 
 use hcf_core::{DataStructure, ExecStatsSnapshot, Executor, HcfConfig, Variant};
-use hcf_tmem::runtime::{MemAccessStats, Runtime};
+use hcf_tmem::runtime::Runtime;
 use hcf_tmem::stats::TxStatsSnapshot;
 use hcf_tmem::{DirectCtx, MemCtx, RealRuntime, TMem, TMemConfig, TxResult};
 
@@ -174,8 +174,6 @@ pub struct NativeRunResult {
     pub latency: LatencyStats,
     /// Framework statistics (exact: taken after joining the workers).
     pub exec: ExecStatsSnapshot,
-    /// Runtime access statistics (`hits == total`: no coherence model).
-    pub mem: MemAccessStats,
     /// Substrate statistics.
     pub tmem: TxStatsSnapshot,
 }
@@ -466,7 +464,6 @@ where
             per_thread_ops,
             latency: LatencyStats::from_samples(latencies),
             exec: executor.exec_stats(),
-            mem: rt.mem_stats(),
             tmem: mem.stats(),
         },
         history,
@@ -523,7 +520,6 @@ mod tests {
         assert_eq!(r.total_ops, 4 * 150);
         assert_eq!(r.exec.total_ops(), r.total_ops);
         assert!(r.per_thread_ops.iter().all(|&o| o == 150));
-        assert_eq!(r.mem.total(), r.mem.hits, "real runtime reports hits only");
     }
 
     #[test]

@@ -5,8 +5,11 @@
 /// The defaults model a TSX-like processor: 64-byte cache lines (8 words),
 /// a write set bounded by an L1-sized buffer (512 lines = 32 KiB) and a
 /// larger read-set capacity (4096 lines), together with a memory of one
-/// million words (8 MiB), which is ample for the data structures in this
-/// workspace.
+/// million words, which is ample for the data structures in this
+/// workspace. That memory reserves 8 MiB of words and 16 MiB of orecs
+/// (one 128-byte unit per line), but [`TMem::new`](crate::TMem::new)
+/// writes none of it, so only the pages that accesses reach become
+/// resident.
 #[derive(Clone, Debug)]
 pub struct TMemConfig {
     /// Total number of words in the memory. Fixed at construction; the

@@ -27,6 +27,7 @@ use std::fmt;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use hcf_util::pad::CachePadded;
+use hcf_util::zeroed;
 
 use crate::addr::Addr;
 use crate::alloc::Allocator;
@@ -37,16 +38,27 @@ use crate::runtime::{AccessKind, Runtime};
 use crate::stats::{TxStats, TxStatsSnapshot};
 use crate::txn::Txn;
 
+/// Words from one orec to the next: 16 words of 8 bytes, the 128-byte
+/// unit [`CachePadded`] pads to.
+const OREC_STRIDE: usize =
+    std::mem::align_of::<CachePadded<AtomicU64>>() / std::mem::size_of::<AtomicU64>();
+
 /// A word-addressable transactional memory with line-granularity conflict
 /// detection. See the [crate docs](crate) for the overall model.
 ///
 /// All state lives in pre-sized arrays of atomics, so the structure is
-/// `Send + Sync` and fully safe Rust. The global metadata words (clock,
-/// write-back window counter) and each orec are [`CachePadded`]: orecs
-/// are the single most contended array in the system — every
-/// transactional access touches one — and without padding sixteen
-/// *logically disjoint* orecs share each physical cache line, so
-/// transactions on disjoint data still ping-pong metadata lines.
+/// `Send + Sync` and fully safe Rust. Both arrays are allocated already
+/// zeroed ([`hcf_util::zeroed::atomic_u64s`]) and never written by
+/// [`TMem::new`], so a memory costs resident pages only where it is used:
+/// like an HTM's conflict-tracking state, the footprint grows with what
+/// transactions touch, not with the configured size.
+///
+/// The global metadata words (clock, write-back window counter) are
+/// [`CachePadded`], and each orec owns a 128-byte unit of its own:
+/// orecs are the single most contended array in the system — every
+/// transactional access touches one — and packed densely, sixteen
+/// *logically disjoint* orecs would share each physical cache line, so
+/// transactions on disjoint data would still ping-pong metadata lines.
 ///
 /// Every field written after [`TMem::new`] is padded; the unpadded fields
 /// (`cfg`, `words`, `orecs`, `stats`) are read-only — `words`, `orecs`
@@ -56,8 +68,11 @@ use crate::txn::Txn;
 pub struct TMem {
     cfg: TMemConfig,
     words: Box<[AtomicU64]>,
-    /// One ownership record per line, each owning a real cache line.
-    orecs: Box<[CachePadded<AtomicU64>]>,
+    /// One ownership record per line, at every [`OREC_STRIDE`]-th word:
+    /// the words in between are never touched, so each orec is alone in
+    /// its 128-byte unit, as a [`CachePadded`] element would be, whatever
+    /// the block's base alignment.
+    orecs: Box<[AtomicU64]>,
     /// TL2 global version clock. Padded: every writer commit writes it,
     /// and nothing else may share its line.
     clock: CachePadded<AtomicU64>,
@@ -67,19 +82,20 @@ pub struct TMem {
     writeback_active: CachePadded<AtomicUsize>,
     /// Padded: allocs and frees write its bump pointer and free lists.
     alloc: CachePadded<Allocator>,
-    /// Every transactional access increments a counter here, in the
-    /// accessing thread's own padded stripe; the field itself is only the
-    /// read-only pointer to the stripes.
+    /// Every transaction adds its counts here when it ends, and every
+    /// direct access as it happens, in the thread's own padded stripe;
+    /// the field itself is only the read-only pointer to the stripes.
     stats: TxStats,
 }
 
 impl TMem {
     /// Creates a memory per `cfg`, zero-initialized.
+    ///
+    /// Every word and orec reads zero (unlocked, version 0), but none is
+    /// written here: the backing pages are mapped in on first use.
     pub fn new(cfg: TMemConfig) -> Self {
-        let words = (0..cfg.words).map(|_| AtomicU64::new(0)).collect();
-        let orecs = (0..cfg.lines())
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect();
+        let words = zeroed::atomic_u64s(cfg.words);
+        let orecs = zeroed::atomic_u64s(cfg.lines() * OREC_STRIDE);
         let alloc = Allocator::new(cfg.words);
         TMem {
             cfg,
@@ -130,7 +146,7 @@ impl TMem {
 
     #[inline]
     pub(crate) fn orec(&self, line: usize) -> &AtomicU64 {
-        &self.orecs[line]
+        &self.orecs[line * OREC_STRIDE]
     }
 
     pub(crate) fn stats_ref(&self) -> &TxStats {

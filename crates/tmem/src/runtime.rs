@@ -5,7 +5,8 @@
 //! `std::thread`/`Instant` directly. Two implementations exist:
 //!
 //! * [`RealRuntime`] (this module) — a thin pass-through for ordinary
-//!   multi-threaded execution; `advance` is a no-op and `now` is wall time.
+//!   multi-threaded execution; `advance` and the accounting hooks are
+//!   no-ops and `now` is wall time.
 //! * `LockstepRuntime` (in the `hcf-sim` crate) — a deterministic
 //!   discrete-event scheduler that admits exactly one thread at a time (the
 //!   one with the smallest virtual clock) and charges virtual cycles per
@@ -21,7 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hcf_util::pad::Striped;
 use hcf_util::sync::Mutex;
 
 use crate::txset::TxnScratch;
@@ -74,7 +74,11 @@ impl MemAccessStats {
 /// Thread identity, virtual time, and cost hooks.
 ///
 /// Implementations must be cheap: `mem_access` is called on every
-/// transactional load/store.
+/// transactional load/store. Counting is not a runtime's job:
+/// [`TxStats`](crate::stats::TxStats) counts accesses and outcomes
+/// exactly on every runtime, so a runtime that charges nothing for them
+/// (such as [`RealRuntime`]) implements `mem_access` and `tx_event` as
+/// no-ops.
 pub trait Runtime: Send + Sync {
     /// A dense identifier for the calling thread, in `0..max_threads`.
     /// Assignments are stable for the lifetime of the thread.
@@ -107,10 +111,12 @@ pub trait Runtime: Send + Sync {
     /// cycles for the lockstep runtime.
     fn now(&self) -> u64;
 
-    /// Account (and, in simulation, charge) one memory access to `line`.
+    /// Charges one memory access to `line`. The lockstep runtime advances
+    /// virtual time by the access's coherence cost and tracks line
+    /// ownership; [`RealRuntime`] does nothing.
     fn mem_access(&self, line: usize, kind: AccessKind);
 
-    /// Account a transaction lifecycle event.
+    /// Charges a transaction lifecycle event (nothing on [`RealRuntime`]).
     fn tx_event(&self, event: TxEvent);
 
     /// Whether this runtime simulates virtual time.
@@ -178,33 +184,18 @@ impl IdRegistry {
     }
 }
 
-/// One stripe of [`RealRuntime`] statistics. All four counters fit well
-/// inside the 128-byte padding unit, so a thread's begin/commit/access
-/// bumps stay on one private line.
-#[derive(Debug, Default)]
-struct CounterStripe {
-    accesses: AtomicU64,
-    begins: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-}
-
 /// Pass-through runtime for ordinary execution: threads run freely, time is
-/// wall time, and per-access cost hooks only bump counters.
+/// wall time, and the cost hooks ([`Runtime::mem_access`],
+/// [`Runtime::tx_event`]) do nothing.
 ///
-/// The counters are kept per thread in a [`Striped`]: `mem_access` runs
-/// on every transactional load and store, and a single shared
-/// `fetch_add` target would serialize all worker threads on one cache
-/// line — false sharing on the hottest counter in the workspace. The
-/// stripe is the thread's round-robin [`stripe_index`], not its dense
-/// [`Runtime::thread_id`], so counting never registers a thread.
-///
-/// [`stripe_index`]: hcf_util::pad::stripe_index
+/// The hooks run on every transactional load and store, so they keep no
+/// state: transaction and access counts live in the memory's
+/// [`TxStats`](crate::stats::TxStats), which each transaction updates
+/// once, in its own thread's stripe, when it ends.
 pub struct RealRuntime {
     start: Instant,
     token: u64,
     ids: Mutex<IdRegistry>,
-    stripes: Striped<CounterStripe>,
 }
 
 impl RealRuntime {
@@ -217,27 +208,7 @@ impl RealRuntime {
             start: Instant::now(), // hcf-lint: allow(no-wall-clock)
             token: RUNTIME_TOKEN.fetch_add(1, Ordering::Relaxed),
             ids: Mutex::new(IdRegistry::default()),
-            stripes: Striped::default(),
         }
-    }
-
-    /// Number of transactions begun/committed/aborted so far.
-    pub fn tx_counts(&self) -> (u64, u64, u64) {
-        let mut totals = (0, 0, 0);
-        for s in self.stripes.iter() {
-            totals.0 += s.begins.load(Ordering::Relaxed);
-            totals.1 += s.commits.load(Ordering::Relaxed);
-            totals.2 += s.aborts.load(Ordering::Relaxed);
-        }
-        totals
-    }
-
-    /// Total memory accesses observed.
-    pub fn access_count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.accesses.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Explicitly registers the calling thread, returning a guard that
@@ -331,7 +302,6 @@ impl fmt::Debug for RealRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RealRuntime")
             .field("threads", &self.ids.lock().next)
-            .field("accesses", &self.access_count())
             .finish()
     }
 }
@@ -374,32 +344,9 @@ impl Runtime for RealRuntime {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn mem_access(&self, _line: usize, _kind: AccessKind) {
-        self.stripes.local().accesses.fetch_add(1, Ordering::Relaxed);
-    }
+    fn mem_access(&self, _line: usize, _kind: AccessKind) {}
 
-    fn tx_event(&self, event: TxEvent) {
-        let stripe = self.stripes.local();
-        let ctr = match event {
-            TxEvent::Begin => &stripe.begins,
-            TxEvent::Commit => &stripe.commits,
-            TxEvent::Abort => &stripe.aborts,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `RealRuntime` counts accesses but does not model coherence, so it
-    /// reports every access as a hit. This keeps
-    /// `mem_stats().total() == access_count()` — diagnostics that print
-    /// either number agree — at the cost of the hit/miss split being
-    /// meaningless here (only the lockstep runtime tracks ownership).
-    fn mem_stats(&self) -> MemAccessStats {
-        MemAccessStats {
-            hits: self.access_count(),
-            local_misses: 0,
-            remote_misses: 0,
-        }
-    }
+    fn tx_event(&self, _event: TxEvent) {}
 }
 
 #[cfg(test)]
@@ -419,35 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let rt = RealRuntime::new();
-        rt.mem_access(0, AccessKind::Read);
-        rt.mem_access(1, AccessKind::Write);
-        rt.tx_event(TxEvent::Begin);
-        rt.tx_event(TxEvent::Commit);
-        rt.tx_event(TxEvent::Begin);
-        rt.tx_event(TxEvent::Abort);
-        assert_eq!(rt.access_count(), 2);
-        assert_eq!(rt.tx_counts(), (2, 1, 1));
-    }
-
-    #[test]
     fn now_is_monotonic() {
         let rt = RealRuntime::new();
         let a = rt.now();
         let b = rt.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn mem_stats_total_matches_access_count() {
-        let rt = RealRuntime::new();
-        rt.mem_access(3, AccessKind::Read);
-        rt.mem_access(4, AccessKind::Write);
-        let s = rt.mem_stats();
-        assert_eq!(s.total(), rt.access_count());
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.misses(), 0, "no coherence tracking: everything is a hit");
     }
 
     #[test]
@@ -514,25 +437,6 @@ mod tests {
         let slot = rt.register();
         assert_eq!(slot.id(), implicit);
         assert_eq!(rt.thread_id(), implicit);
-    }
-
-    #[test]
-    fn counters_aggregate_across_stripes() {
-        // Counts from different threads land in different stripes but
-        // must still sum correctly.
-        let rt = Arc::new(RealRuntime::new());
-        rt.tx_event(TxEvent::Begin);
-        rt.mem_access(0, AccessKind::Read);
-        let rt2 = rt.clone();
-        std::thread::spawn(move || {
-            rt2.tx_event(TxEvent::Begin);
-            rt2.tx_event(TxEvent::Commit);
-            rt2.mem_access(1, AccessKind::Write);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(rt.tx_counts(), (2, 1, 0));
-        assert_eq!(rt.access_count(), 2);
     }
 
     #[test]

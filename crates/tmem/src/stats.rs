@@ -1,9 +1,11 @@
 //! Per-thread transactional-memory statistics.
 //!
-//! Every transactional access bumps a counter here, so the counters are
-//! kept per thread ([`Striped`]): a thread's bumps stay on its own cache
-//! line, as an HTM's read/write-set bookkeeping stays in its own core,
-//! and [`TxStats::snapshot`] sums the stripes.
+//! Every transaction and direct access is counted here, so the counters
+//! are kept per thread ([`Striped`]): a thread's bumps stay on its own
+//! cache line, as an HTM's read/write-set bookkeeping stays in its own
+//! core, and [`TxStats::snapshot`] sums the stripes. A transaction counts
+//! its own loads and stores in plain fields and adds them here once, when
+//! it ends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,7 +27,7 @@ pub struct TxStats {
 
 /// One thread's stripe of [`TxStats`]: nine counters, 72 bytes, inside
 /// one 128-byte padding unit. A [`Txn`](crate::Txn) resolves its stripe
-/// once at begin and bumps it on every access.
+/// once at begin and adds its access counts to it once, when dropped.
 #[derive(Debug, Default)]
 pub(crate) struct TxCounters {
     commits: AtomicU64,
@@ -95,12 +97,15 @@ impl TxCounters {
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_tx_read(&self) {
-        self.tx_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_tx_write(&self) {
-        self.tx_writes.fetch_add(1, Ordering::Relaxed);
+    /// Adds one finished transaction's loads and stores. Skips zero
+    /// counts: a read-only transaction then does one RMW, not two.
+    pub(crate) fn record_tx_accesses(&self, reads: u64, writes: u64) {
+        if reads != 0 {
+            self.tx_reads.fetch_add(reads, Ordering::Relaxed);
+        }
+        if writes != 0 {
+            self.tx_writes.fetch_add(writes, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn record_direct_read(&self) {
@@ -127,11 +132,12 @@ impl TxStats {
     /// Takes a snapshot of all counters, summed over the stripes.
     ///
     /// Memory-ordering note: all counters are independent monotonic
-    /// `fetch_add(1, Relaxed)` — no code synchronizes through them, so
+    /// `Relaxed` `fetch_add`s — no code synchronizes through them, so
     /// relaxed loads suffice. End-of-run snapshots are exact (the caller
     /// joins worker threads first, which orders all their increments
-    /// before the loads, whichever stripes they went to); concurrent
-    /// snapshots may tear across counters and stripes, but every derived
+    /// before the loads, whichever stripes they went to; a transaction
+    /// still open is not counted yet); concurrent snapshots may tear
+    /// across counters and stripes, but every derived
     /// metric here ([`TxStatsSnapshot::aborts`],
     /// [`TxStatsSnapshot::commit_ratio`]) only *adds* counters, so a torn
     /// snapshot can under-count but never underflow.
@@ -187,8 +193,8 @@ mod tests {
     fn access_counters() {
         let stats = TxStats::new();
         let s = stats.local();
-        s.record_tx_read();
-        s.record_tx_write();
+        s.record_tx_accesses(2, 3);
+        s.record_tx_accesses(1, 0);
         s.record_direct_read();
         s.record_direct_write();
         let snap = stats.snapshot();
@@ -199,7 +205,7 @@ mod tests {
                 snap.direct_reads,
                 snap.direct_writes
             ),
-            (1, 1, 1, 1)
+            (3, 3, 1, 1)
         );
     }
 }

@@ -30,9 +30,13 @@ use crate::txset::TxnScratch;
 pub struct Txn<'m> {
     mem: &'m TMem,
     rt: &'m dyn Runtime,
-    /// The beginning thread's statistics stripe, resolved once here so
-    /// reads and writes do not look up a thread-local each.
+    /// The beginning thread's statistics stripe, resolved once at begin.
     stats: &'m TxCounters,
+    /// Transactional loads and stores so far. Plain fields, added to
+    /// `stats` once when the transaction is dropped (committed, rolled
+    /// back or abandoned), so an access does no atomic read-modify-write.
+    reads: u64,
+    writes: u64,
     /// Begin-time snapshot of the global clock.
     rv: u64,
     /// Read set, write set, line bookkeeping and commit scratch (pooled).
@@ -65,6 +69,8 @@ impl<'m> Txn<'m> {
             mem,
             rt,
             stats: mem.stats_ref().local(),
+            reads: 0,
+            writes: 0,
             rv,
             scratch: rt.take_scratch(),
             poisoned: None,
@@ -121,7 +127,7 @@ impl<'m> Txn<'m> {
         if let Some(v) = self.scratch.writes.get(addr.0) {
             return Ok(v);
         }
-        self.stats.record_tx_read();
+        self.reads += 1;
         let line = self.mem.line_of(addr);
         self.rt.mem_access(line, AccessKind::Read);
         // The o1/data/o2 sandwich. Orderings:
@@ -173,7 +179,7 @@ impl<'m> Txn<'m> {
     /// configured limit.
     pub fn write(&mut self, addr: Addr, value: u64) -> TxResult<()> {
         self.check_poison()?;
-        self.stats.record_tx_write();
+        self.writes += 1;
         let line = self.mem.line_of(addr);
         if self.scratch.writes.get(addr.0).is_none() {
             // Encounter-time coherence event: TSX takes lines exclusive at
@@ -487,6 +493,7 @@ impl Drop for Txn<'_> {
             self.san_abort(self.poisoned.unwrap_or(AbortCause::Conflict));
             self.rollback_internal();
         }
+        self.stats.record_tx_accesses(self.reads, self.writes);
         // Return the scratch (reset by the pool) for the next transaction
         // on this thread.
         self.rt.put_scratch(std::mem::take(&mut self.scratch));

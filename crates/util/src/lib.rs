@@ -23,6 +23,8 @@
 //!   routing for the KV service.
 //! * [`progress`] — completion counters and the stall clock behind the
 //!   native driver's and the KV service's watchdogs.
+//! * [`zeroed`] — zero-filled atomic arrays allocated already zeroed, so
+//!   a large transactional memory is resident only where it is used.
 //!
 //! The crate deliberately has **zero dependencies** and denies missing
 //! docs on its public API.
@@ -38,3 +40,4 @@ pub mod ptest;
 pub mod rng;
 pub mod shard;
 pub mod sync;
+pub mod zeroed;

@@ -95,7 +95,7 @@ thread_local! {
     /// The calling thread's stripe index, assigned round-robin on first
     /// use and shared by every [`Striped`] value. Deliberately not a
     /// runtime's dense thread id (`hcf_tmem::Runtime::thread_id`): the
-    /// counters are bumped inside hooks such as `mem_access`, and
+    /// counters are bumped on paths such as a direct memory access, and
     /// resolving a dense id there would *implicitly register* threads
     /// (such as a main thread doing direct setup) that previously never
     /// got one, shifting every later thread's id — observable through
